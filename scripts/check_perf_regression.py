@@ -73,12 +73,12 @@ def main() -> int:
             f"smoke flag mismatch: baseline={base_doc.get('smoke')} "
             f"current={cur_doc.get('smoke')} — compare like against like")
     if base_doc.get("threads") != cur_doc.get("threads"):
-        # Thread-scaling metrics (sharded_traffic.*) depend on how many
-        # cores the producing host had; a 1-core CI runner cannot be held to
-        # a 16-core baseline's speedups.
+        # Host width affects every host-time metric (frequency, cache and
+        # memory bandwidth shared among cores); a 1-core CI runner cannot be
+        # held to a 16-core baseline's timings.
         warnings.append(
             f"host threads mismatch: baseline={base_doc.get('threads')} "
-            f"current={cur_doc.get('threads')} — scaling metrics are only "
+            f"current={cur_doc.get('threads')} — host-time metrics are only "
             "comparable between equal-width hosts")
     for name, b in sorted(base.items()):
         if name not in cur:

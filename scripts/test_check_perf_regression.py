@@ -127,14 +127,14 @@ class SchemaAndSmokeGuards(unittest.TestCase):
                                        "--strict"]), 1)
 
     def test_host_threads_mismatch_warns_and_fails_strict(self):
-        # sharded_traffic.* speedups from a 1-core host are not comparable
-        # to a 16-core baseline; the checker warns, and --strict fails.
+        # Timings from a 1-core host are not comparable to a 16-core
+        # baseline's; the checker warns, and --strict fails.
         with tempfile.TemporaryDirectory() as d:
             b = write_doc(d, "base.json",
-                          {"sharded_traffic.t4.speedup_vs_serial": 2.0},
+                          {"event_dispatch.ns_per_event": 86.0},
                           threads=16)
             c = write_doc(d, "cur.json",
-                          {"sharded_traffic.t4.speedup_vs_serial": 2.0},
+                          {"event_dispatch.ns_per_event": 86.0},
                           threads=1)
             self.assertEqual(run_main(["--baseline", b, "--current", c]), 0)
             self.assertEqual(run_main(["--baseline", b, "--current", c,

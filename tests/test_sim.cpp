@@ -62,19 +62,27 @@ TEST(EventQueue, RunUntilThrowsOnOverrun) {
 TEST(EventQueue, ResumeAfterCaughtLimitOverrun) {
   // Regression: the deadlock guard used to pop the over-limit event before
   // throwing, so catching the overrun lost an event. The guard now peeks, so
-  // a caught overrun leaves the queue resumable with a higher limit.
+  // a caught overrun leaves the queue resumable with a higher limit. An
+  // in-limit observer runs before the overrun fires; one past the first
+  // limit stays queued (not dropped) and runs on resume.
   EventQueue eq;
   std::vector<Cycle> ran;
   eq.schedule_at(10, [&] { ran.push_back(eq.now()); });
   eq.schedule_at(100, [&] { ran.push_back(eq.now()); });
+  eq.schedule_observer_at(40, [&] { ran.push_back(eq.now()); });
+  eq.schedule_observer_at(150, [&] { ran.push_back(eq.now()); });
   EXPECT_THROW(eq.run_until(50), RequireError);
-  EXPECT_EQ(eq.now(), 10u);
+  EXPECT_EQ(ran, (std::vector<Cycle>{10, 40}));
+  EXPECT_EQ(eq.now(), 40u);
   EXPECT_EQ(eq.executed(), 1u);
-  EXPECT_EQ(eq.pending(), 1u);
+  EXPECT_EQ(eq.pending(), 2u);
+  EXPECT_EQ(eq.observer_pending(), 1u);
+  EXPECT_EQ(eq.observer_dropped(), 0u);
   // Resume: the previously over-limit event must still fire.
-  EXPECT_EQ(eq.run_until(200), 100u);
-  EXPECT_EQ(ran, (std::vector<Cycle>{10, 100}));
+  EXPECT_EQ(eq.run_until(200), 150u);
+  EXPECT_EQ(ran, (std::vector<Cycle>{10, 40, 100, 150}));
   EXPECT_EQ(eq.executed(), 2u);
+  EXPECT_EQ(eq.observer_dropped(), 0u);
   EXPECT_TRUE(eq.empty());
 }
 
@@ -272,11 +280,14 @@ TEST(EventQueue, ObserverBeyondLimitIsDroppedNotFatal) {
   EventQueue eq;
   bool observed = false;
   eq.schedule_at(10, [] {});
+  eq.schedule_at(20, [] {});
   eq.schedule_observer_at(100, [&] { observed = true; });
   // A real event past the limit throws; a pending observer tick must not.
-  eq.run_until(50);
+  // The drop is counted so a periodic observer's scheduler can re-arm.
+  EXPECT_EQ(eq.run_until(50), 20u);
   EXPECT_FALSE(observed);
-  EXPECT_EQ(eq.executed(), 1u);
+  EXPECT_EQ(eq.executed(), 2u);
+  EXPECT_EQ(eq.observer_dropped(), 1u);
   EXPECT_EQ(eq.pending(), 0u);
 }
 
