@@ -187,7 +187,6 @@ class CoherentSystem final : public nuca::CacheOps {
     std::vector<WayRange> ways;  ///< per-app quota; may be empty
   };
   void set_app_view(AppView view);
-  bool app_view_active() const noexcept { return view_.num_apps > 0; }
 
   struct AppCounters {
     std::uint64_t llc_requests = 0;

@@ -65,6 +65,7 @@ class SimCore {
   /// Translation front-end: legacy flat TLB or the tdn::vm two-level
   /// TLB + page walker, per the VmConfig this core was built with.
   vm::Mmu& mmu() noexcept { return mmu_; }
+  const vm::Mmu& mmu() const noexcept { return mmu_; }
 
   // --- statistics ------------------------------------------------------
   std::uint64_t loads() const noexcept { return loads_.value(); }

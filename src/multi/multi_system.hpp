@@ -1,13 +1,14 @@
 // MultiProgramSystem — N independent task-dataflow applications colocated on
 // one shared machine substrate (DESIGN.md Sec. 3, docs/multiprog.md).
 //
-// Shared between apps: the event queue, mesh/NoC, memory controllers, page
-// table and the banked coherent LLC. Per app: a workload, an offset virtual
-// address space (mix.hpp's kAppStride keeps streams alias-free), a NUCA
-// mapping policy instance (own RRTs / page classifications), a scheduler and
-// a RuntimeSystem over that app's core partition. An AppRouter presents the
-// per-app policies to the hierarchy as one; the CoherentSystem's AppView
-// provides per-app LLC counters, optional way quotas and inter-app
+// A thin driver on system::Machine, which owns everything the apps share:
+// the event queue, mesh/NoC, memory controllers, page table, the banked
+// coherent LLC, and one NUCA policy bundle per app (own RRTs / page
+// classifications). Per app this class adds a workload, an offset virtual
+// address space (mix.hpp's kAppStride keeps streams alias-free) and a
+// runtime over that app's core partition. The machine's AppRouter presents
+// the per-app policies to the hierarchy as one; the CoherentSystem's
+// AppView provides per-app LLC counters, optional way quotas and inter-app
 // bank-conflict accounting.
 //
 // Determinism: one single-threaded event loop drives all apps, per-app PRNG
@@ -19,25 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "coherence/coherent_system.hpp"
-#include "core/sim_core.hpp"
-#include "fault/injector.hpp"
 #include "mem/address_space.hpp"
-#include "mem/dram.hpp"
-#include "mem/page_table.hpp"
-#include "multi/app_router.hpp"
 #include "multi/mix.hpp"
-#include "noc/mesh.hpp"
-#include "noc/network.hpp"
-#include "nuca/rnuca.hpp"
-#include "nuca/snuca.hpp"
-#include "nuca/tdnuca_policy.hpp"
-#include "runtime/runtime_system.hpp"
-#include "runtime/scheduler.hpp"
-#include "sim/event_queue.hpp"
-#include "stats/registry.hpp"
-#include "system/config.hpp"
-#include "tdnuca/runtime_hooks.hpp"
+#include "system/machine.hpp"
 #include "workloads/workload.hpp"
 
 namespace tdn::obs {
@@ -77,23 +62,35 @@ class MultiProgramSystem {
     return apps_.at(a)->workload_name;
   }
   mem::VirtualSpace& app_vspace(unsigned a) { return apps_.at(a)->vspace; }
-  runtime::RuntimeSystem& app_runtime(unsigned a) { return *apps_.at(a)->rt; }
+  runtime::RuntimeSystem& app_runtime(unsigned a) {
+    return *apps_.at(a)->runtime.rt;
+  }
   const CoreMask& app_cores(unsigned a) const { return apps_.at(a)->cores; }
-  const BankMask& app_banks(unsigned a) const { return apps_.at(a)->banks; }
+  /// Empty in Shared mode (whole LLC).
+  const BankMask& app_banks(unsigned a) const {
+    return m_.partition(a).banks;
+  }
   /// The app's completion cycle (its slowdown numerator in WS/ANTT).
-  Cycle app_makespan(unsigned a) const { return apps_.at(a)->rt->makespan(); }
+  Cycle app_makespan(unsigned a) const {
+    return apps_.at(a)->runtime.rt->makespan();
+  }
   const workloads::WorkloadStats& app_workload_stats(unsigned a) const {
     return apps_.at(a)->workload->stats();
   }
   nuca::TdNucaPolicy* app_tdnuca_policy(unsigned a) {
-    return apps_.at(a)->tdnuca.get();
+    return m_.policies(a).tdnuca.get();
   }
 
-  sim::EventQueue& events() noexcept { return eq_; }
-  coherence::CoherentSystem& caches() noexcept { return *caches_; }
-  const system::SystemConfig& config() const noexcept { return cfg_; }
+  sim::EventQueue& events() noexcept { return m_.events(); }
+  coherence::CoherentSystem& caches() noexcept { return m_.caches(); }
+  const system::SystemConfig& config() const noexcept { return m_.config(); }
   const MultiOptions& options() const noexcept { return opts_; }
-  fault::FaultInjector* fault_injector() noexcept { return injector_.get(); }
+  fault::FaultInjector* fault_injector() noexcept {
+    return m_.fault_injector();
+  }
+  /// Non-null only when config().fault.watchdog_budget > 0, once run()
+  /// starts.
+  fault::Watchdog* watchdog() noexcept { return m_.watchdog(); }
 
   /// Global keys mirror TiledSystem::collect_stats; per-app metrics are
   /// namespaced appK.* (appK.sim.cycles, appK.llc.requests, ...), and the
@@ -106,35 +103,15 @@ class MultiProgramSystem {
     std::string workload_name;
     mem::VirtualSpace vspace;
     CoreMask cores;
-    BankMask banks;  ///< empty in Shared mode (whole LLC)
-    std::unique_ptr<nuca::SNucaPolicy> snuca;
-    std::unique_ptr<nuca::RNucaPolicy> rnuca;
-    std::unique_ptr<nuca::TdNucaPolicy> tdnuca;
-    nuca::MappingPolicy* policy = nullptr;
-    std::unique_ptr<runtime::Scheduler> scheduler;
-    std::unique_ptr<runtime::RuntimeHooks> hooks_base;
-    std::unique_ptr<tdnuca::TdNucaRuntimeHooks> hooks_td;
-    std::unique_ptr<runtime::RuntimeSystem> rt;
+    system::AppRuntime runtime;
     std::unique_ptr<workloads::Workload> workload;
     bool done = false;
   };
 
-  void register_observability();
 
-  system::SystemConfig cfg_;
   MultiOptions opts_;
-  obs::Recorder* rec_ = nullptr;
-
-  sim::EventQueue eq_;
-  noc::Mesh mesh_;
-  mem::PageTable page_table_;
-  std::unique_ptr<noc::Network> net_;
-  std::unique_ptr<mem::MemControllers> mcs_;
+  system::Machine m_;
   std::vector<std::unique_ptr<App>> apps_;
-  std::unique_ptr<AppRouter> router_;
-  std::unique_ptr<coherence::CoherentSystem> caches_;
-  std::vector<std::unique_ptr<core::SimCore>> cores_;
-  std::unique_ptr<fault::FaultInjector> injector_;
 
   bool built_ = false;
   bool completed_ = false;

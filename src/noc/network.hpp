@@ -99,11 +99,6 @@ class Network {
   const NetworkConfig& config() const noexcept { return cfg_; }
 
   // --- checkpoint fold (tdn::ckpt) -------------------------------------
-  /// Mean-latency numerator/denominator for exact recombination across a
-  /// checkpoint fold (Sampled weight is the sample count here: every send
-  /// adds with weight 1).
-  double latency_total() const noexcept { return latency_.total(); }
-  double latency_weight() const noexcept { return latency_.weight(); }
   /// Fold-and-reset all traffic statistics at a quiescent checkpoint
   /// boundary. Link busy-until horizons are left alone: at quiescence
   /// every horizon is <= now, so they never influence post-boundary

@@ -5,140 +5,91 @@
 #include <string>
 
 #include "common/require.hpp"
-#include "energy/energy_model.hpp"
+#include "multi/app_router.hpp"
 #include "obs/recorder.hpp"
 
 namespace tdn::serve {
 
-ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
-                         ServeOptions opts, obs::Recorder* rec)
-    : cfg_(cfg), tenants_(std::move(tenants)), opts_(std::move(opts)),
-      rec_(rec), mesh_(cfg.mesh_w, cfg.mesh_h),
-      page_table_(cfg.page_table, cfg.vm) {
-  const unsigned n = cfg_.num_cores();
-  TDN_REQUIRE(opts_.enabled(), "ServeSystem needs an arrival spec");
-  TDN_REQUIRE(opts_.slots >= 1, "at least one worker slot");
-  TDN_REQUIRE(cfg_.policy != system::PolicyKind::TdNucaDryRun,
+namespace {
+
+/// Validate the serving options and carve the machine into row-granular
+/// worker slots (multi::row_partitions), one policy bundle each.
+system::MachineLayout serving_layout(const system::SystemConfig& cfg,
+                                     const ServeOptions& opts) {
+  TDN_REQUIRE(opts.enabled(), "ServeSystem needs an arrival spec");
+  TDN_REQUIRE(opts.slots >= 1, "at least one worker slot");
+  TDN_REQUIRE(cfg.policy != system::PolicyKind::TdNucaDryRun,
               "TdNucaDryRun is a single-program overhead study; "
               "not supported in serving mode");
-  TDN_REQUIRE(!opts_.adaptive || cfg_.policy == system::PolicyKind::TdNuca,
+  TDN_REQUIRE(!opts.adaptive || cfg.policy == system::PolicyKind::TdNuca,
               "adaptive switching starts from the TdNuca policy");
-  if (opts_.adaptive) TDN_REQUIRE(opts_.epoch > 0, "adaptive needs an epoch");
-  qos_.resize(tenants_.apps.size());
-  epoch_admitted_.assign(tenants_.apps.size(), 0);
-  slot_baseline_.resize(opts_.slots);
+  if (opts.adaptive) TDN_REQUIRE(opts.epoch > 0, "adaptive needs an epoch");
 
-  net_ = std::make_unique<noc::Network>(mesh_, eq_, cfg_.network);
-
-  // Memory controllers: identical placement to TiledSystem/MultiProgram.
-  std::vector<CoreId> mc_tiles;
-  std::vector<CoreId> edge_tiles;
-  for (unsigned x = 0; x < cfg_.mesh_w; ++x) {
-    edge_tiles.push_back(x);
-    edge_tiles.push_back((cfg_.mesh_h - 1) * cfg_.mesh_w + x);
-  }
-  for (unsigned i = 0; i < cfg_.num_memory_controllers; ++i)
-    mc_tiles.push_back(edge_tiles[i % edge_tiles.size()]);
-  mcs_ = std::make_unique<mem::MemControllers>(cfg_.num_memory_controllers,
-                                               mc_tiles, cfg_.dram);
-
-  // --- worker slots: row-granular machine partitions ---------------------
   const std::vector<CoreMask> part =
-      multi::row_partitions(cfg_.mesh_w, cfg_.mesh_h, opts_.slots);
-  slots_.resize(opts_.slots);
-  std::vector<nuca::MappingPolicy*> slot_policies;
-  for (unsigned s = 0; s < opts_.slots; ++s) {
-    Slot& slot = slots_[s];
-    slot.cores = part[s];
-    slot.banks = part[s];
-    switch (cfg_.policy) {
-      case system::PolicyKind::SNuca:
-        slot.snuca = std::make_unique<nuca::SNucaPolicy>(
-            n, cfg_.hierarchy.l1.line_size);
-        slot.policy = slot.snuca.get();
-        break;
-      case system::PolicyKind::RNuca:
-        slot.rnuca = std::make_unique<nuca::RNucaPolicy>(mesh_, n, page_table_,
-                                                         cfg_.rnuca);
-        slot.policy = slot.rnuca.get();
-        break;
-      case system::PolicyKind::TdNuca:
-      case system::PolicyKind::TdNucaBypassOnly: {
-        auto td_cfg = cfg_.tdnuca;
-        td_cfg.bypass_only =
-            (cfg_.policy == system::PolicyKind::TdNucaBypassOnly);
-        slot.tdnuca = std::make_unique<nuca::TdNucaPolicy>(mesh_, n, td_cfg);
-        slot.policy = slot.tdnuca.get();
-        // Adaptive slots carry the alternate policy too; dispatch picks.
-        if (opts_.adaptive)
-          slot.rnuca = std::make_unique<nuca::RNucaPolicy>(
-              mesh_, n, page_table_, cfg_.rnuca);
-        break;
-      }
-      case system::PolicyKind::TdNucaDryRun:
-        break;  // rejected above
-    }
-    if (slot.tdnuca) slot.tdnuca->set_partition(slot.banks, slot.cores);
-    if (slot.rnuca) slot.rnuca->set_partition(slot.banks, slot.cores);
-    if (slot.snuca) slot.snuca->set_partition(slot.banks, slot.cores);
-    slot_policies.push_back(slot.policy);
-  }
-
+      multi::row_partitions(cfg.mesh_w, cfg.mesh_h, opts.slots);
+  system::MachineLayout layout;
+  layout.partitions.clear();
+  for (unsigned s = 0; s < opts.slots; ++s)
+    layout.partitions.push_back({part[s], part[s]});
   // Wrap mode: request address-space slice slot + slots*generation folds
   // back onto its worker slot's active policy.
-  router_ = std::make_unique<multi::AppRouter>(slot_policies, /*wrap=*/true);
-  caches_ = std::make_unique<coherence::CoherentSystem>(
-      eq_, *net_, mesh_, *mcs_, *router_, cfg_.hierarchy, n, rec_);
+  layout.wrap = true;
+  // Adaptive slots carry the alternate policy too; dispatch picks.
+  layout.rnuca_alternate = opts.adaptive;
 
   // Per-slot LLC accounting (attribution is by requester core, so slices
   // beyond the slot count never index the view).
-  coherence::CoherentSystem::AppView view;
-  view.num_apps = opts_.slots;
-  view.core_app.resize(n);
-  const unsigned rows_per_slot = cfg_.mesh_h / opts_.slots;
-  for (unsigned c = 0; c < n; ++c)
-    view.core_app[c] =
-        static_cast<std::uint8_t>(c / (rows_per_slot * cfg_.mesh_w));
-  caches_->set_app_view(std::move(view));
+  layout.view.emplace();
+  return layout;
+}
 
-  // --- cores ------------------------------------------------------------
-  cores_.reserve(n);
-  std::vector<vm::Mmu*> mmus;
-  for (unsigned i = 0; i < n; ++i) {
-    cores_.push_back(std::make_unique<core::SimCore>(
-        i, eq_, *caches_, page_table_, cfg_.core, cfg_.tlb, cfg_.vm));
-    mmus.push_back(&cores_.back()->mmu());
-  }
-  for (Slot& slot : slots_) {
-    if (slot.rnuca) slot.rnuca->set_mmus(mmus);
-    slot.cores.for_each(
-        [&](CoreId c) { slot.core_ptrs.push_back(cores_[c].get()); });
-  }
+}  // namespace
 
-  // --- fault injection --------------------------------------------------
-  if (!cfg_.fault.plan.empty()) {
-    fault::FaultInjector::Targets t;
-    t.eq = &eq_;
-    t.mesh = &mesh_;
-    t.net = net_.get();
-    t.caches = caches_.get();
-    t.mcs = mcs_.get();
-    t.tdnuca = nullptr;  // per-slot RRTs; in-map health guards suffice
-    t.rec = rec_;
-    injector_ = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::parse(cfg_.fault.plan), cfg_.fault, t, n,
-        cfg_.hierarchy.l1.line_size);
-    health_ = &injector_->health();
-    for (Slot& slot : slots_) {
-      if (slot.snuca) slot.snuca->set_health(health_);
-      if (slot.rnuca) slot.rnuca->set_health(health_);
-      if (slot.tdnuca) slot.tdnuca->set_health(health_);
-    }
-    caches_->set_health(health_);
-    net_->set_health(health_);
-  }
+ServeSystem::ServeSystem(system::SystemConfig cfg, multi::MixSpec tenants,
+                         ServeOptions opts, obs::Recorder* rec)
+    : tenants_(std::move(tenants)), opts_(std::move(opts)),
+      m_(cfg, serving_layout(cfg, opts_), rec) {
+  qos_.resize(tenants_.apps.size());
+  epoch_admitted_.assign(tenants_.apps.size(), 0);
+  slots_.resize(opts_.slots);
 
-  if (rec_ != nullptr) register_observability();
+  // Witness: admission outcomes on top of the machine's memory traffic.
+  m_.watch([this] { return offered_ + done_ + shed_; });
+  m_.add_diagnostic("serve", [this] {
+    return "offered=" + std::to_string(offered_) +
+           " done=" + std::to_string(done_) +
+           " shed=" + std::to_string(shed_) +
+           " pending=" + std::to_string(pending_.size()) +
+           " draining=" + std::to_string(draining_ ? 1 : 0);
+  });
+  m_.add_diagnostic("checkpoint", [this] {
+    if (!ckpt_active()) return std::string("disabled");
+    return "dir=" + (ckpt_.dir.empty() ? std::string("<none>") : ckpt_.dir) +
+           " written=" + std::to_string(snapshots_written_) +
+           " (resume the newest snapshot with ckpt.resume=true)";
+  });
+
+  if (rec == nullptr) return;
+  // Machine-level series and heatmaps come from system::Machine; these are
+  // the serving tracks and the load/occupancy picture over time.
+  for (unsigned s = 0; s < opts_.slots; ++s)
+    rec->set_track_name(obs::Recorder::kServeTrackBase + s,
+                        "serve slot " + std::to_string(s));
+  rec->set_track_name(obs::Recorder::kServeTrackBase + opts_.slots,
+                      "serve admission");
+  rec->add_series("serve.pending_depth",
+                  [this] { return static_cast<double>(pending_.size()); });
+  rec->add_series("serve.busy_slots", [this] {
+    unsigned busy = 0;
+    for (const Slot& slot : slots_)
+      if (slot.busy) ++busy;
+    return static_cast<double>(busy);
+  });
+  rec->add_series("serve.offered",
+                  [this] { return static_cast<double>(offered_); });
+  rec->add_series("serve.shed", [this] { return static_cast<double>(shed_); });
+  rec->add_series("serve.completed",
+                  [this] { return static_cast<double>(done_); });
 }
 
 ServeSystem::~ServeSystem() = default;
@@ -165,93 +116,60 @@ Cycle ServeSystem::run(Cycle cycle_limit) {
   TDN_REQUIRE(built_, "call build() before run()");
   TDN_REQUIRE(!ran_, "run() already called");
   ran_ = true;
-  // Restored lineage: jump the fresh queue's clock to the quiescent point
-  // first, so everything below schedules at absolute post-restore cycles.
-  if (resumed_) eq_.fast_forward(resume_cycle_);
-  if (rec_ != nullptr) rec_->arm(eq_);
-  if (injector_) {
-    // Scheduling order is load-bearing for same-cycle ties: plan events get
-    // the lowest sequence numbers (before arrivals), exactly as in the
-    // original lineage, so a fault and an arrival on the same cycle keep
-    // their relative order across a restore.
-    if (resumed_)
-      injector_->arm_from(resume_cycle_);
-    else
-      injector_->arm();
-  }
-  const std::size_t first = resumed_ ? static_cast<std::size_t>(cursor_) : 0;
-  arrivals_remaining_ = requests_.size() - first;
-  for (std::size_t i = first; i < requests_.size(); ++i) {
-    const unsigned rid = static_cast<unsigned>(i);
-    eq_.schedule_at(requests_[i].arrive, [this, rid] { on_arrival(rid); });
-  }
-  // The mix sampler rides *real* events: it mutates future scheduling, so
-  // it must be part of the simulation proper (obs observer events must
-  // never change behavior). The chain ends itself once the system drains.
-  // Restored lineages re-arm both periodic chains at the exact absolute
-  // cycles recorded in the snapshot (a tick can be pending at the fold
-  // cycle itself when settle_grace exceeds the epoch) — and in this order,
-  // after arrivals and before the re-dispatch pump below, reproducing the
-  // original lineage's sequence-number tie order.
-  if (!resumed_) {
-    if (opts_.adaptive && !requests_.empty()) {
-      tick_alive_ = true;
-      next_tick_at_ = opts_.epoch;
-      eq_.schedule_in(opts_.epoch, [this] { epoch_tick(); });
-    }
-    if (ckpt_active() && !opts_.adaptive && !requests_.empty()) {
-      marker_alive_ = true;
-      next_marker_at_ = ckpt_.every;
-      eq_.schedule_at(ckpt_.every, [this] { ckpt_marker(); });
-    }
-  } else {
-    if (tick_alive_)
-      eq_.schedule_at(next_tick_at_, [this] { epoch_tick(); });
-    if (marker_alive_)
-      eq_.schedule_at(next_marker_at_, [this] { ckpt_marker(); });
-  }
-  if (!resumed_ && requests_.empty()) completed_ = true;
-  if (resumed_) {
-    // The snapshot captured the pending queue *before* the post-fold pump;
-    // the original lineage pumped inside the fold event, we pump here —
-    // same cycle, same dispatch order, same derived seeds.
-    if (arrivals_remaining_ == 0 && pending_.empty() &&
-        done_ + shed_ == offered_)
-      completed_ = true;
-    pump();
-  }
-  if (cfg_.fault.watchdog_budget > 0) {
-    watchdog_ =
-        std::make_unique<fault::Watchdog>(eq_, cfg_.fault.watchdog_budget);
-    // Witness: memory-system traffic plus admission outcomes. Any of these
-    // moving within a budget window is forward progress; a checkpoint fold
-    // resets the cache counters, which the inequality test also counts as
-    // progress (a fold IS progress).
-    watchdog_->set_progress([this] {
-      const auto& cs = caches_->stats();
-      return cs.l1_hits.value() + cs.l1_misses.value() + offered_ + done_ +
-             shed_;
-    });
-    watchdog_->add_diagnostic("serve", [this] {
-      std::string s = "offered=" + std::to_string(offered_) +
-                      " done=" + std::to_string(done_) +
-                      " shed=" + std::to_string(shed_) +
-                      " pending=" + std::to_string(pending_.size()) +
-                      " draining=" + std::to_string(draining_ ? 1 : 0);
-      return s;
-    });
-    watchdog_->add_diagnostic("checkpoint", [this] {
-      if (!ckpt_active()) return std::string("disabled");
-      return "dir=" + (ckpt_.dir.empty() ? std::string("<none>") : ckpt_.dir) +
-             " written=" + std::to_string(snapshots_written_) +
-             " (resume the newest snapshot with ckpt.resume=true)";
-    });
-    watchdog_->arm();
-  }
-  eq_.run_until(cycle_limit);
+  sim::EventQueue& eq = m_.events();
+  m_.run(
+      cycle_limit,
+      [this, &eq] {
+        const std::size_t first =
+            resumed_ ? static_cast<std::size_t>(cursor_) : 0;
+        arrivals_remaining_ = requests_.size() - first;
+        for (std::size_t i = first; i < requests_.size(); ++i) {
+          const unsigned rid = static_cast<unsigned>(i);
+          eq.schedule_at(requests_[i].arrive, [this, rid] { on_arrival(rid); });
+        }
+        // The mix sampler rides *real* events: it mutates future
+        // scheduling, so it must be part of the simulation proper (obs
+        // observer events must never change behavior). The chain ends
+        // itself once the system drains. Restored lineages re-arm both
+        // periodic chains at the exact absolute cycles recorded in the
+        // snapshot (a tick can be pending at the fold cycle itself when
+        // settle_grace exceeds the epoch) — and in this order, after
+        // arrivals and before the re-dispatch pump below, reproducing the
+        // original lineage's sequence-number tie order.
+        if (!resumed_) {
+          if (opts_.adaptive && !requests_.empty()) {
+            tick_alive_ = true;
+            next_tick_at_ = opts_.epoch;
+            eq.schedule_in(opts_.epoch, [this] { epoch_tick(); });
+          }
+          if (ckpt_active() && !opts_.adaptive && !requests_.empty()) {
+            marker_alive_ = true;
+            next_marker_at_ = ckpt_.every;
+            eq.schedule_at(ckpt_.every, [this] { ckpt_marker(); });
+          }
+        } else {
+          if (tick_alive_)
+            eq.schedule_at(next_tick_at_, [this] { epoch_tick(); });
+          if (marker_alive_)
+            eq.schedule_at(next_marker_at_, [this] { ckpt_marker(); });
+        }
+        if (!resumed_ && requests_.empty()) completed_ = true;
+        if (resumed_) {
+          // The snapshot captured the pending queue *before* the post-fold
+          // pump; the original lineage pumped inside the fold event, we
+          // pump here — same cycle, same dispatch order, same derived
+          // seeds.
+          if (arrivals_remaining_ == 0 && pending_.empty() &&
+              done_ + shed_ == offered_)
+            completed_ = true;
+          pump();
+        }
+      },
+      resumed_ ? std::optional<Cycle>(resume_cycle_) : std::nullopt);
   TDN_REQUIRE(completed_,
               "serving drained without completing every admitted request");
   graveyard_.clear();  // queue is empty: no event references retired state
+  m_.check_invariants(nullptr);
   return makespan_;
 }
 
@@ -304,11 +222,11 @@ void ServeSystem::shed_request(unsigned rid) {
   r.shed = true;
   ++shed_;
   ++qos_[r.tenant].shed;
-  if (rec_ != nullptr && rec_->trace_on()) {
-    rec_->instant(obs::Recorder::kServeTrackBase + opts_.slots, "serve",
-                  "shed " + tenants_.apps[r.tenant] + "#" +
-                      std::to_string(rid),
-                  "\"tenant\":" + std::to_string(r.tenant));
+  if (obs::Recorder* rec = m_.recorder(); rec != nullptr && rec->trace_on()) {
+    rec->instant(obs::Recorder::kServeTrackBase + opts_.slots, "serve",
+                   "shed " + tenants_.apps[r.tenant] + "#" +
+                       std::to_string(rid),
+                   "\"tenant\":" + std::to_string(r.tenant));
   }
   if (arrivals_remaining_ == 0 && done_ + shed_ == offered_)
     completed_ = true;
@@ -320,7 +238,7 @@ void ServeSystem::dispatch(unsigned s, unsigned rid) {
   TDN_REQUIRE(!slot.busy, "dispatch onto a busy slot");
   slot.busy = true;
   r.slot = s;
-  r.dispatch = eq_.now();
+  r.dispatch = m_.events().now();
 
   auto live = std::make_unique<Live>();
 
@@ -333,66 +251,39 @@ void ServeSystem::dispatch(unsigned s, unsigned rid) {
                            multi::kAppStride;
   live->vspace = std::make_unique<mem::VirtualSpace>(base);
 
-  nuca::MappingPolicy* pol = slot.policy;
+  system::PolicySet& ps = m_.policies(s);
+  nuca::MappingPolicy* pol = ps.active;
   if (opts_.adaptive)
-    pol = use_tdnuca_ ? static_cast<nuca::MappingPolicy*>(slot.tdnuca.get())
-                      : slot.rnuca.get();
-  router_->set_policy(s, pol);
-
-  switch (cfg_.scheduler) {
-    case system::SchedulerKind::Fifo:
-      live->scheduler = std::make_unique<runtime::FifoScheduler>();
-      break;
-    case system::SchedulerKind::Affinity:
-      live->scheduler = std::make_unique<runtime::AffinityScheduler>();
-      break;
-  }
-
-  runtime::RuntimeHooks* hooks = nullptr;
-  if (pol == static_cast<nuca::MappingPolicy*>(slot.tdnuca.get()) &&
-      slot.tdnuca) {
-    auto hooks_cfg = cfg_.hooks;
-    hooks_cfg.line_size = cfg_.hierarchy.l1.line_size;
-    live->hooks_td = std::make_unique<tdnuca::TdNucaRuntimeHooks>(
-        *slot.tdnuca, page_table_, cfg_.num_cores(), hooks_cfg, rec_);
-    if (health_ != nullptr) live->hooks_td->set_health(health_);
-    hooks = live->hooks_td.get();
-  } else {
-    live->hooks_base = std::make_unique<runtime::RuntimeHooks>();
-    hooks = live->hooks_base.get();
-  }
-
+    pol = use_tdnuca_ ? static_cast<nuca::MappingPolicy*>(ps.tdnuca.get())
+                      : ps.rnuca.get();
+  m_.router()->set_policy(s, pol);
   // Distinct jitter stream per request id: back-to-back requests on a slot
   // must not mirror each other's dispatch noise.
-  auto rt_cfg = cfg_.runtime;
-  rt_cfg.jitter_seed += 0x9E3779B97F4A7C15ull * (rid + 1);
-  live->rt = std::make_unique<runtime::RuntimeSystem>(
-      eq_, slot.core_ptrs, *live->scheduler, *hooks, rt_cfg, rec_);
-  if (live->hooks_td) live->hooks_td->set_runtime(live->rt.get());
-  if (auto* aff =
-          dynamic_cast<runtime::AffinityScheduler*>(live->scheduler.get()))
-    aff->set_tasks(&live->rt->tasks());
+  live->runtime = system::make_app_runtime(
+      m_, pol == ps.tdnuca.get() ? ps.tdnuca.get() : nullptr,
+      m_.partition(s).cores, rid + 1);
 
   workloads::WorkloadParams p = params_;
   p.scale = opts_.request_scale;
   // Decorrelate repeated requests of one tenant's workload.
   p.seed = params_.seed + 1000003ull * (rid + 1);
   live->workload = workloads::make_workload(tenants_.apps[r.tenant], p);
-  live->workload->build(workloads::BuildContext{*live->vspace, *live->rt});
+  live->workload->build(
+      workloads::BuildContext{*live->vspace, *live->runtime.rt});
   TDN_REQUIRE(live->vspace->footprint() < multi::kAppStride,
               "request footprint overflows its address-space slice");
 
   slot.live = std::move(live);
-  slot.live->rt->run([this, s, rid] { on_complete(s, rid); });
+  slot.live->runtime.rt->run([this, s, rid] { on_complete(s, rid); });
 }
 
 void ServeSystem::on_complete(unsigned s, unsigned rid) {
   Slot& slot = slots_[s];
   Request& r = requests_[rid];
-  r.complete = eq_.now();
+  r.complete = m_.events().now();
   r.done = true;
   ++done_;
-  tasks_total_ += slot.live->rt->tasks_completed();
+  tasks_total_ += slot.live->runtime.rt->tasks_completed();
   makespan_ = std::max(makespan_, r.complete);
 
   const Cycle sojourn = r.complete - r.arrive;
@@ -407,13 +298,13 @@ void ServeSystem::on_complete(unsigned s, unsigned rid) {
   q.queue_wait.add(waited);
   q.service.add(service);
 
-  if (rec_ != nullptr && rec_->trace_on()) {
-    rec_->span(obs::Recorder::kServeTrackBase + s, "serve",
-               tenants_.apps[r.tenant] + "#" + std::to_string(rid), r.dispatch,
-               service,
-               "\"tenant\":" + std::to_string(r.tenant) + ",\"queue_wait\":" +
-                   std::to_string(waited) + ",\"sojourn\":" +
-                   std::to_string(sojourn));
+  if (obs::Recorder* rec = m_.recorder(); rec != nullptr && rec->trace_on()) {
+    rec->span(obs::Recorder::kServeTrackBase + s, "serve",
+                tenants_.apps[r.tenant] + "#" + std::to_string(rid), r.dispatch,
+                service,
+                "\"tenant\":" + std::to_string(r.tenant) + ",\"queue_wait\":" +
+                    std::to_string(waited) + ",\"sojourn\":" +
+                    std::to_string(sojourn));
   }
 
   // Deferred teardown: we are inside this runtime's own completion path,
@@ -424,7 +315,7 @@ void ServeSystem::on_complete(unsigned s, unsigned rid) {
   slot.busy = false;
   ++slot.generation;
   graveyard_.push_back(std::move(slot.live));
-  eq_.schedule_in(0, [this] { pump(); });
+  m_.events().schedule_in(0, [this] { pump(); });
 
   if (arrivals_remaining_ == 0 && done_ + shed_ == offered_)
     completed_ = true;
@@ -458,103 +349,26 @@ void ServeSystem::epoch_tick() {
     if (want_tdnuca != use_tdnuca_) {
       use_tdnuca_ = want_tdnuca;
       ++policy_switches_;
-      if (rec_ != nullptr && rec_->trace_on()) {
-        rec_->instant(obs::Recorder::kServeTrackBase + opts_.slots, "serve",
-                      use_tdnuca_ ? "switch->tdnuca" : "switch->rnuca");
+      if (obs::Recorder* rec = m_.recorder();
+          rec != nullptr && rec->trace_on()) {
+        rec->instant(obs::Recorder::kServeTrackBase + opts_.slots, "serve",
+                       use_tdnuca_ ? "switch->tdnuca" : "switch->rnuca");
       }
     }
     std::fill(epoch_admitted_.begin(), epoch_admitted_.end(), 0);
   }
   if (arrivals_remaining_ > 0 || !pending_.empty() || any_busy()) {
     tick_alive_ = true;
-    next_tick_at_ = eq_.now() + opts_.epoch;
-    eq_.schedule_in(opts_.epoch, [this] { epoch_tick(); });
+    next_tick_at_ = m_.events().now() + opts_.epoch;
+    m_.events().schedule_in(opts_.epoch, [this] { epoch_tick(); });
   }
   // Adaptive + checkpointing: the cadence is a multiple of the epoch
   // (enforced by set_checkpoint), so the drain rides this chain — there is
   // never a separate marker event to race the tick at the same cycle.
   if (ckpt_active() && opts_.adaptive && tick_alive_ && !draining_ &&
-      eq_.now() > 0 && eq_.now() % ckpt_.every == 0)
+      m_.events().now() > 0 && m_.events().now() % ckpt_.every == 0)
     begin_drain(/*emergency=*/false);
   poll_interrupt();
-}
-
-void ServeSystem::register_observability() {
-  const unsigned n = cfg_.num_cores();
-  rec_->attach_clock(&eq_);
-  if (obs::LatencyAttribution* attr = rec_->attribution()) {
-    net_->set_transit_sinks(&attr->noc_transit(0), &attr->noc_transit(1));
-    for (unsigned m = 0; m < mcs_->count(); ++m)
-      mcs_->mc(m).set_queue_sink(&attr->dram_queue());
-  }
-  for (unsigned i = 0; i < n; ++i)
-    rec_->set_track_name(i, "core " + std::to_string(i));
-  rec_->set_track_name(obs::Recorder::kRuntimeTrack, "runtime");
-  rec_->set_track_name(obs::Recorder::kFlushTrack, "flush engine");
-  rec_->set_track_name(obs::Recorder::kCoherenceTrack, "coherence");
-  for (unsigned s = 0; s < opts_.slots; ++s)
-    rec_->set_track_name(obs::Recorder::kServeTrackBase + s,
-                         "serve slot " + std::to_string(s));
-  rec_->set_track_name(obs::Recorder::kServeTrackBase + opts_.slots,
-                       "serve admission");
-  if (injector_) rec_->set_track_name(obs::Recorder::kFaultTrack, "faults");
-
-  for (unsigned b = 0; b < n; ++b) {
-    rec_->add_series(
-        "llc.bank" + std::to_string(b) + ".hit_ratio",
-        [this, b, ph = std::uint64_t{0}, pm = std::uint64_t{0}]() mutable {
-          const auto& c = caches_->bank_counters(b);
-          const std::uint64_t dh = c.hits - ph;
-          const std::uint64_t dm = c.misses - pm;
-          ph = c.hits;
-          pm = c.misses;
-          return (dh + dm) > 0
-                     ? static_cast<double>(dh) / static_cast<double>(dh + dm)
-                     : 0.0;
-        });
-  }
-  for (unsigned m = 0; m < cfg_.num_memory_controllers; ++m) {
-    rec_->add_series("dram.mc" + std::to_string(m) + ".backlog", [this, m] {
-      const auto& mc = mcs_->mc(m);
-      const Cycle now = eq_.now();
-      if (mc.busy_until() <= now) return 0.0;
-      return static_cast<double>(mc.busy_until() - now) /
-             static_cast<double>(mc.config().service_interval);
-    });
-  }
-
-  // --- serving series: the load/occupancy picture over time --------------
-  rec_->add_series("serve.pending_depth",
-                   [this] { return static_cast<double>(pending_.size()); });
-  rec_->add_series("serve.busy_slots", [this] {
-    unsigned busy = 0;
-    for (const Slot& slot : slots_)
-      if (slot.busy) ++busy;
-    return static_cast<double>(busy);
-  });
-  rec_->add_series("serve.offered",
-                   [this] { return static_cast<double>(offered_); });
-  rec_->add_series("serve.shed",
-                   [this] { return static_cast<double>(shed_); });
-  rec_->add_series("serve.completed",
-                   [this] { return static_cast<double>(done_); });
-
-  const unsigned w = cfg_.mesh_w;
-  const unsigned h = cfg_.mesh_h;
-  rec_->add_heatmap("llc_bank_accesses", w, h, [this, n] {
-    std::vector<double> v(n);
-    for (unsigned b = 0; b < n; ++b) {
-      const auto& c = caches_->bank_counters(b);
-      v[b] = static_cast<double>(c.requests + c.writebacks);
-    }
-    return v;
-  });
-  rec_->add_heatmap("noc_router_bytes", w, h, [this, n] {
-    std::vector<double> v(n);
-    for (unsigned t = 0; t < n; ++t)
-      v[t] = static_cast<double>(net_->router_bytes_at(t));
-    return v;
-  });
 }
 
 // --- checkpoint machinery (tdn::ckpt) --------------------------------------
@@ -629,7 +443,7 @@ void ServeSystem::begin_drain(bool emergency) {
   TDN_ASSERT(!draining_);
   draining_ = true;
   emergency_ = emergency;
-  eq_.schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
+  m_.events().schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
 }
 
 void ServeSystem::ckpt_marker() {
@@ -639,15 +453,15 @@ void ServeSystem::ckpt_marker() {
       !draining_)
     return;  // served everything: the chain dies with the system
   marker_alive_ = true;
-  next_marker_at_ = eq_.now() + ckpt_.every;
-  eq_.schedule_at(next_marker_at_, [this] { ckpt_marker(); });
+  next_marker_at_ = m_.events().now() + ckpt_.every;
+  m_.events().schedule_at(next_marker_at_, [this] { ckpt_marker(); });
   if (!draining_) begin_drain(/*emergency=*/false);
 }
 
 void ServeSystem::ckpt_settle() {
   TDN_ASSERT(draining_);
   if (!quiescent()) {
-    eq_.schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
+    m_.events().schedule_in(ckpt_.settle_grace, [this] { ckpt_settle(); });
     return;
   }
   ckpt_fold();
@@ -662,15 +476,16 @@ bool ServeSystem::quiescent() const {
   std::size_t expected = static_cast<std::size_t>(arrivals_remaining_);
   if (tick_alive_) ++expected;
   if (marker_alive_) ++expected;
-  if (injector_) expected += injector_->plan_pending();
-  return eq_.real_pending() == expected;
+  if (const fault::FaultInjector* inj = m_.fault_injector())
+    expected += inj->plan_pending();
+  return m_.events().real_pending() == expected;
 }
 
 void ServeSystem::ckpt_fold() {
   TDN_ASSERT(draining_ && quiescent());
-  const Cycle cyc = eq_.now();
-  fold_machine_counters();
-  cold_normalize();
+  const Cycle cyc = m_.events().now();
+  m_.fold_counters();
+  m_.cold_normalize();
   // Quiescence proves no event references retired request state: dropping
   // the graveyard here (in both lineages) bounds a long run's memory.
   graveyard_.clear();
@@ -689,71 +504,6 @@ void ServeSystem::ckpt_fold() {
                            : " (emergency snapshot published)"));
   }
   pump();  // the restored lineage pumps in run() at this same cycle
-}
-
-void ServeSystem::fold_machine_counters() {
-  const auto& cs = caches_->stats();
-  baseline_.en.l1_hits += cs.l1_hits.value();
-  baseline_.en.l1_misses += cs.l1_misses.value();
-  baseline_.en.flush_l1_lines += cs.flush_l1_lines.value();
-  baseline_.en.llc_requests += cs.llc_requests.value();
-  baseline_.en.llc_misses += cs.llc_misses.value();
-  baseline_.en.llc_writebacks += cs.llc_writebacks.value();
-  baseline_.en.flush_llc_lines += cs.flush_llc_lines.value();
-  baseline_.en.noc_router_bytes += net_->total_router_bytes();
-  baseline_.en.dram_accesses += mcs_->total_accesses();
-  baseline_.llc_hits += cs.llc_hits.value();
-  baseline_.bypass_reads += cs.bypass_reads.value();
-  baseline_.noc_messages += net_->messages();
-  baseline_.nuca_total += cs.nuca_distance.total();
-  baseline_.nuca_weight += cs.nuca_distance.weight();
-  baseline_.miss_lat_total += cs.miss_latency.total();
-  baseline_.miss_lat_weight += cs.miss_latency.weight();
-  for (unsigned s = 0; s < opts_.slots; ++s) {
-    if (slots_[s].tdnuca)
-      baseline_.en.rrt_lookups +=
-          slots_[s].tdnuca->rrt_hits() + slots_[s].tdnuca->rrt_misses();
-    const auto& ac = caches_->app_counters(s);
-    SlotBaseline& sb = slot_baseline_[s];
-    sb.llc_requests += ac.llc_requests;
-    sb.llc_hits += ac.llc_hits;
-    sb.llc_misses += ac.llc_misses;
-    sb.llc_writebacks += ac.llc_writebacks;
-    sb.bypass_reads += ac.bypass_reads;
-  }
-  for (auto& core : cores_) {
-    vm::Mmu& mmu = core->mmu();
-    baseline_.tlb_hits += mmu.tlb_hits();
-    baseline_.tlb_misses += mmu.tlb_misses();
-    baseline_.tlb_shootdowns += mmu.tlb_shootdowns();
-    baseline_.l2_tlb_hits += mmu.l2_tlb_hits();
-    baseline_.walks += mmu.walks();
-    baseline_.walk_loads += mmu.walk_loads();
-    baseline_.walk_cycles += mmu.walk_cycles();
-    baseline_.isa_walk_cycles += mmu.charge_walk_cycles();
-    baseline_.psc_hits += mmu.psc_hits();
-    mmu.ckpt_reset_stats();
-  }
-  baseline_.huge_fallbacks += page_table_.huge_fallbacks();
-  page_table_.ckpt_reset_stats();
-  caches_->ckpt_reset_stats();
-  net_->ckpt_reset_stats();
-  for (unsigned m = 0; m < mcs_->count(); ++m) mcs_->mc(m).ckpt_reset_stats();
-}
-
-void ServeSystem::cold_normalize() {
-  caches_->ckpt_cold_reset();
-  // Stale TLB entries can never *match* a future request's slice (slices
-  // are generation-unique), but their residency would skew replacement —
-  // the restored lineage's TLBs are empty, so the continuing one's must be.
-  // In vm mode this also clears the paging-structure caches, matching the
-  // freshly constructed walkers on the restored side.
-  for (auto& core : cores_) core->mmu().ckpt_cold_reset();
-  for (Slot& slot : slots_) {
-    if (slot.tdnuca) slot.tdnuca->ckpt_reset();
-    if (slot.rnuca) slot.rnuca->ckpt_reset();
-  }
-  page_table_.ckpt_drop_mappings();
 }
 
 std::string ServeSystem::encode_snapshot() const {
@@ -791,56 +541,9 @@ std::string ServeSystem::encode_snapshot() const {
   e.u64(slots_.size());
   for (unsigned s = 0; s < slots_.size(); ++s) {
     e.u64(slots_[s].generation);
-    const SlotBaseline& sb = slot_baseline_[s];
-    e.u64(sb.llc_requests);
-    e.u64(sb.llc_hits);
-    e.u64(sb.llc_misses);
-    e.u64(sb.llc_writebacks);
-    e.u64(sb.bypass_reads);
+    m_.encode_app_baseline(e, s);
   }
-  // Machine baseline (fresh counters were just folded and reset, so the
-  // baseline alone is the cumulative machine history). The events field
-  // carries a +1 compensation: the fold event executing right now is
-  // counted by the live queue only after its action returns, but it
-  // belongs to the restored lineage's past.
-  e.u64(baseline_.events + eq_.executed() + 1);
-  e.u64(baseline_.llc_hits);
-  e.u64(baseline_.bypass_reads);
-  e.u64(baseline_.noc_messages);
-  e.u64(baseline_.en.llc_requests);
-  e.u64(baseline_.en.llc_misses);
-  e.u64(baseline_.en.llc_writebacks);
-  e.u64(baseline_.en.flush_llc_lines);
-  e.u64(baseline_.en.l1_hits);
-  e.u64(baseline_.en.l1_misses);
-  e.u64(baseline_.en.flush_l1_lines);
-  e.u64(baseline_.en.noc_router_bytes);
-  e.u64(baseline_.en.dram_accesses);
-  e.u64(baseline_.en.rrt_lookups);
-  e.f64(baseline_.nuca_total);
-  e.f64(baseline_.nuca_weight);
-  e.f64(baseline_.miss_lat_total);
-  e.f64(baseline_.miss_lat_weight);
-  // Translation baseline (payload v2; the cores' Mmu counters were folded
-  // and reset alongside the machine counters above).
-  e.u64(baseline_.tlb_hits);
-  e.u64(baseline_.tlb_misses);
-  e.u64(baseline_.tlb_shootdowns);
-  e.u64(baseline_.l2_tlb_hits);
-  e.u64(baseline_.walks);
-  e.u64(baseline_.walk_loads);
-  e.u64(baseline_.walk_cycles);
-  e.u64(baseline_.isa_walk_cycles);
-  e.u64(baseline_.psc_hits);
-  e.u64(baseline_.huge_fallbacks);
-  // Derived-PRNG position of the page allocator: a restored run's
-  // first-touch allocations continue the exact fragmentation sample
-  // sequence the snapshotted lineage would have drawn.
-  const mem::PageTable::AllocState as = page_table_.alloc_state();
-  e.u64(as.next_frame);
-  e.u64(as.rng_state);
-  e.u64_vec(as.skipped_frames);
-  e.u64_vec(as.vm_words);
+  m_.encode_baseline(e);
   return e.take();
 }
 
@@ -908,47 +611,9 @@ void ServeSystem::resume_from(const ckpt::Snapshot& snap) {
     throw ckpt::SnapshotError("snapshot slot count mismatch");
   for (unsigned s = 0; s < slots_.size(); ++s) {
     slots_[s].generation = static_cast<unsigned>(d.u64());
-    SlotBaseline& sb = slot_baseline_[s];
-    sb.llc_requests = d.u64();
-    sb.llc_hits = d.u64();
-    sb.llc_misses = d.u64();
-    sb.llc_writebacks = d.u64();
-    sb.bypass_reads = d.u64();
+    m_.decode_app_baseline(d, s);
   }
-  baseline_.events = d.u64();
-  baseline_.llc_hits = d.u64();
-  baseline_.bypass_reads = d.u64();
-  baseline_.noc_messages = d.u64();
-  baseline_.en.llc_requests = d.u64();
-  baseline_.en.llc_misses = d.u64();
-  baseline_.en.llc_writebacks = d.u64();
-  baseline_.en.flush_llc_lines = d.u64();
-  baseline_.en.l1_hits = d.u64();
-  baseline_.en.l1_misses = d.u64();
-  baseline_.en.flush_l1_lines = d.u64();
-  baseline_.en.noc_router_bytes = d.u64();
-  baseline_.en.dram_accesses = d.u64();
-  baseline_.en.rrt_lookups = d.u64();
-  baseline_.nuca_total = d.f64();
-  baseline_.nuca_weight = d.f64();
-  baseline_.miss_lat_total = d.f64();
-  baseline_.miss_lat_weight = d.f64();
-  baseline_.tlb_hits = d.u64();
-  baseline_.tlb_misses = d.u64();
-  baseline_.tlb_shootdowns = d.u64();
-  baseline_.l2_tlb_hits = d.u64();
-  baseline_.walks = d.u64();
-  baseline_.walk_loads = d.u64();
-  baseline_.walk_cycles = d.u64();
-  baseline_.isa_walk_cycles = d.u64();
-  baseline_.psc_hits = d.u64();
-  baseline_.huge_fallbacks = d.u64();
-  mem::PageTable::AllocState as;
-  as.next_frame = d.u64();
-  as.rng_state = d.u64();
-  as.skipped_frames = d.u64_vec();
-  as.vm_words = d.u64_vec();
-  page_table_.set_alloc_state(as);
+  m_.decode_baseline(d);
   if (!d.done())
     throw ckpt::SnapshotError("snapshot payload has trailing bytes");
   // Admission conservation must hold at any quiescent point.
@@ -960,112 +625,11 @@ void ServeSystem::resume_from(const ckpt::Snapshot& snap) {
 
 stats::Registry ServeSystem::collect_stats() const {
   stats::Registry r;
-  const unsigned n = cfg_.num_cores();
-  const auto& cs = caches_->stats();
-
-  // Every machine-level metric is `baseline + fresh`: checkpoint folds move
-  // the live counters into baseline_ and reset them, so with checkpointing
-  // off the baseline is zero and these reduce to the original expressions
-  // bit-for-bit (0 + x and 0.0 + x are exact for the finite values here;
-  // integer counts combine as u64 before any double conversion).
-  energy::EnergyInputs en = baseline_.en;
-  en.llc_requests += cs.llc_requests.value();
-  en.llc_misses += cs.llc_misses.value();
-  en.llc_writebacks += cs.llc_writebacks.value();
-  en.flush_llc_lines += cs.flush_llc_lines.value();
-  en.l1_hits += cs.l1_hits.value();
-  en.l1_misses += cs.l1_misses.value();
-  en.flush_l1_lines += cs.flush_l1_lines.value();
-  en.noc_router_bytes += net_->total_router_bytes();
-  en.dram_accesses += mcs_->total_accesses();
-  for (const Slot& slot : slots_)
-    if (slot.tdnuca)
-      en.rrt_lookups += slot.tdnuca->rrt_hits() + slot.tdnuca->rrt_misses();
-  const std::uint64_t llc_hits = baseline_.llc_hits + cs.llc_hits.value();
-
+  // The machine block is `baseline + fresh`: checkpoint folds move the live
+  // counters into the machine's baseline and reset them.
+  m_.collect_stats(r);
   r.set("sim.cycles", static_cast<double>(makespan_));
-  r.set("sim.events", static_cast<double>(baseline_.events + eq_.executed()));
   r.set("tasks.completed", static_cast<double>(tasks_total_));
-  r.set("l1.hits", static_cast<double>(en.l1_hits));
-  r.set("l1.misses", static_cast<double>(en.l1_misses));
-  r.set("llc.requests", static_cast<double>(en.llc_requests));
-  r.set("llc.hits", static_cast<double>(llc_hits));
-  r.set("llc.misses", static_cast<double>(en.llc_misses));
-  r.set("llc.writebacks", static_cast<double>(en.llc_writebacks));
-  r.set("llc.accesses",
-        static_cast<double>(en.llc_requests + en.llc_writebacks));
-  {
-    const double h = static_cast<double>(llc_hits);
-    const double m = static_cast<double>(en.llc_misses);
-    r.set("llc.hit_ratio", (h + m) > 0 ? h / (h + m) : 0.0);
-  }
-  r.set("llc.bypass_reads",
-        static_cast<double>(baseline_.bypass_reads + cs.bypass_reads.value()));
-  {
-    const double w = baseline_.nuca_weight + cs.nuca_distance.weight();
-    const double s = baseline_.nuca_total + cs.nuca_distance.total();
-    r.set("nuca.mean_distance", w > 0 ? s / w : 0.0);
-  }
-  {
-    const double w = baseline_.miss_lat_weight + cs.miss_latency.weight();
-    const double s = baseline_.miss_lat_total + cs.miss_latency.total();
-    r.set("l1.mean_miss_latency", w > 0 ? s / w : 0.0);
-  }
-  r.set("noc.router_bytes", static_cast<double>(en.noc_router_bytes));
-  r.set("noc.messages",
-        static_cast<double>(baseline_.noc_messages + net_->messages()));
-  r.set("dram.accesses", static_cast<double>(en.dram_accesses));
-
-  // Translation metrics: baseline + fresh like everything above (per-core
-  // breakdowns are a single-program TiledSystem affordance; serving reports
-  // machine aggregates). State-derived keys (page census) need no folding —
-  // mappings and the buddy pool are part of the snapshot itself.
-  {
-    MachineBaseline t = baseline_;
-    for (const auto& core : cores_) {
-      const vm::Mmu& m = core->mmu();
-      t.tlb_hits += m.tlb_hits();
-      t.tlb_misses += m.tlb_misses();
-      t.tlb_shootdowns += m.tlb_shootdowns();
-      t.l2_tlb_hits += m.l2_tlb_hits();
-      t.walks += m.walks();
-      t.walk_loads += m.walk_loads();
-      t.walk_cycles += m.walk_cycles();
-      t.isa_walk_cycles += m.charge_walk_cycles();
-      t.psc_hits += m.psc_hits();
-    }
-    r.set("tlb.hits", static_cast<double>(t.tlb_hits));
-    r.set("tlb.misses", static_cast<double>(t.tlb_misses));
-    r.set("mem.tlb_shootdowns", static_cast<double>(t.tlb_shootdowns));
-    r.set("mem.mapped_pages",
-          static_cast<double>(page_table_.mapped_pages()));
-    r.set("mem.frames_used", static_cast<double>(page_table_.frames_used()));
-    if (cfg_.vm.enabled) {
-      r.set("vm.walks", static_cast<double>(t.walks));
-      r.set("vm.walk_loads", static_cast<double>(t.walk_loads));
-      r.set("vm.walk_cycles", static_cast<double>(t.walk_cycles));
-      r.set("vm.isa_walk_cycles", static_cast<double>(t.isa_walk_cycles));
-      r.set("vm.psc_hits", static_cast<double>(t.psc_hits));
-      r.set("vm.l2_tlb_hits", static_cast<double>(t.l2_tlb_hits));
-      r.set("vm.pages_4k",
-            static_cast<double>(page_table_.pages_of(vm::kPage4K)));
-      r.set("vm.pages_2m",
-            static_cast<double>(page_table_.pages_of(vm::kPage2M)));
-      r.set("vm.pages_1g",
-            static_cast<double>(page_table_.pages_of(vm::kPage1G)));
-      r.set("vm.huge_fallbacks",
-            static_cast<double>(t.huge_fallbacks +
-                                page_table_.huge_fallbacks()));
-      r.set("vm.punctured_frames",
-            static_cast<double>(page_table_.punctured_frames()));
-    }
-  }
-
-  const auto e = energy::compute_energy(en, energy::EnergyParams{});
-  r.set("energy.llc_pj", e.llc_pj);
-  r.set("energy.noc_pj", e.noc_pj);
-  r.set("energy.dram_pj", e.dram_pj);
-  r.set("energy.total_pj", e.total_pj());
 
   // --- serving aggregates ------------------------------------------------
   const double offered = static_cast<double>(offered_);
@@ -1123,17 +687,13 @@ stats::Registry ServeSystem::collect_stats() const {
 
   // Per-slot LLC view (the AppView counters, plus their folded baselines).
   for (unsigned s = 0; s < opts_.slots; ++s) {
-    const auto& ac = caches_->app_counters(s);
-    const SlotBaseline& sb = slot_baseline_[s];
+    const auto ac = m_.app_counters(s);
     const std::string p = "serve.slot" + std::to_string(s);
-    r.set(p + ".llc.requests",
-          static_cast<double>(sb.llc_requests + ac.llc_requests));
-    r.set(p + ".llc.hits", static_cast<double>(sb.llc_hits + ac.llc_hits));
-    r.set(p + ".llc.misses",
-          static_cast<double>(sb.llc_misses + ac.llc_misses));
+    r.set(p + ".llc.requests", static_cast<double>(ac.llc_requests));
+    r.set(p + ".llc.hits", static_cast<double>(ac.llc_hits));
+    r.set(p + ".llc.misses", static_cast<double>(ac.llc_misses));
     r.set(p + ".requests_served", static_cast<double>(slots_[s].generation));
   }
-  (void)n;
   return r;
 }
 

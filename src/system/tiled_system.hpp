@@ -1,32 +1,17 @@
-// TiledSystem — builds and owns one complete simulated machine: the mesh,
-// NoC, memory controllers, page table, NUCA policy, coherent cache
-// hierarchy, timing cores, and the task dataflow runtime, wired per the
-// selected PolicyKind. This is the top-level object workloads and the
-// benchmark harness interact with.
+// TiledSystem — the closed run mode: one task graph on the whole machine.
+// A thin driver on system::Machine (machine.hpp), which builds and owns the
+// mesh, NoC, memory controllers, page table, NUCA policy, coherent cache
+// hierarchy, timing cores and fault wiring; this class adds the one task
+// dataflow runtime over every core, wired per the selected PolicyKind, and
+// the closed run's extra statistics. This is the top-level object
+// workloads and the benchmark harness interact with.
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "coherence/coherent_system.hpp"
-#include "core/sim_core.hpp"
 #include "energy/energy_model.hpp"
-#include "fault/injector.hpp"
-#include "fault/watchdog.hpp"
 #include "mem/address_space.hpp"
-#include "mem/dram.hpp"
-#include "mem/page_table.hpp"
-#include "noc/mesh.hpp"
-#include "noc/network.hpp"
-#include "nuca/rnuca.hpp"
-#include "nuca/snuca.hpp"
-#include "nuca/tdnuca_policy.hpp"
-#include "runtime/runtime_system.hpp"
-#include "runtime/scheduler.hpp"
-#include "sim/event_queue.hpp"
-#include "stats/registry.hpp"
-#include "system/config.hpp"
-#include "tdnuca/runtime_hooks.hpp"
+#include "system/machine.hpp"
 
 namespace tdn::obs {
 class Recorder;
@@ -46,11 +31,11 @@ class TiledSystem {
   TiledSystem(const TiledSystem&) = delete;
   TiledSystem& operator=(const TiledSystem&) = delete;
 
-  const SystemConfig& config() const noexcept { return cfg_; }
+  const SystemConfig& config() const noexcept { return m_.config(); }
 
   // --- the pieces workloads need ---------------------------------------
   mem::VirtualSpace& vspace() noexcept { return vspace_; }
-  runtime::RuntimeSystem& runtime() noexcept { return *runtime_; }
+  runtime::RuntimeSystem& runtime() noexcept { return *app_.rt; }
 
   // --- execution --------------------------------------------------------
   /// Run the created task graph to completion; returns the makespan cycle.
@@ -59,23 +44,29 @@ class TiledSystem {
   bool completed() const noexcept { return completed_; }
 
   // --- component access (stats, tests) ----------------------------------
-  sim::EventQueue& events() noexcept { return eq_; }
-  const noc::Mesh& mesh() const noexcept { return mesh_; }
-  noc::Network& network() noexcept { return *net_; }
-  coherence::CoherentSystem& caches() noexcept { return *caches_; }
-  mem::MemControllers& mcs() noexcept { return *mcs_; }
-  mem::PageTable& page_table() noexcept { return page_table_; }
-  core::SimCore& core(CoreId id) { return *cores_.at(id); }
+  sim::EventQueue& events() noexcept { return m_.events(); }
+  const noc::Mesh& mesh() const noexcept { return m_.mesh(); }
+  noc::Network& network() noexcept { return m_.network(); }
+  coherence::CoherentSystem& caches() noexcept { return m_.caches(); }
+  mem::MemControllers& mcs() noexcept { return m_.mcs(); }
+  mem::PageTable& page_table() noexcept { return m_.page_table(); }
+  core::SimCore& core(CoreId id) { return m_.core(id); }
 
   /// Non-null only for the matching PolicyKind.
-  nuca::TdNucaPolicy* tdnuca_policy() noexcept { return tdnuca_policy_.get(); }
-  nuca::RNucaPolicy* rnuca_policy() noexcept { return rnuca_policy_.get(); }
-  tdnuca::TdNucaRuntimeHooks* tdnuca_hooks() noexcept { return hooks_td_.get(); }
+  nuca::TdNucaPolicy* tdnuca_policy() noexcept {
+    return m_.policies(0).tdnuca.get();
+  }
+  nuca::RNucaPolicy* rnuca_policy() noexcept {
+    return m_.policies(0).rnuca.get();
+  }
+  tdnuca::TdNucaRuntimeHooks* tdnuca_hooks() noexcept { return app_.td; }
 
   /// Non-null only when cfg.fault.plan is non-empty.
-  fault::FaultInjector* fault_injector() noexcept { return injector_.get(); }
-  /// Non-null only when cfg.fault.watchdog_budget > 0.
-  fault::Watchdog* watchdog() noexcept { return watchdog_.get(); }
+  fault::FaultInjector* fault_injector() noexcept {
+    return m_.fault_injector();
+  }
+  /// Non-null only when cfg.fault.watchdog_budget > 0, once run() starts.
+  fault::Watchdog* watchdog() noexcept { return m_.watchdog(); }
 
   energy::EnergyBreakdown energy(
       const energy::EnergyParams& params = {}) const;
@@ -84,33 +75,9 @@ class TiledSystem {
   stats::Registry collect_stats() const;
 
  private:
-  void register_observability();
-
-  SystemConfig cfg_;
-  obs::Recorder* rec_ = nullptr;
-  sim::EventQueue eq_;
-  noc::Mesh mesh_;
+  Machine m_;
   mem::VirtualSpace vspace_;
-  mem::PageTable page_table_;
-  std::unique_ptr<noc::Network> net_;
-  std::unique_ptr<mem::MemControllers> mcs_;
-
-  std::unique_ptr<nuca::SNucaPolicy> snuca_policy_;
-  std::unique_ptr<nuca::RNucaPolicy> rnuca_policy_;
-  std::unique_ptr<nuca::TdNucaPolicy> tdnuca_policy_;
-  nuca::MappingPolicy* active_policy_ = nullptr;
-
-  std::unique_ptr<coherence::CoherentSystem> caches_;
-  std::vector<std::unique_ptr<core::SimCore>> cores_;
-
-  std::unique_ptr<runtime::Scheduler> scheduler_;
-  std::unique_ptr<runtime::RuntimeHooks> hooks_base_;
-  std::unique_ptr<tdnuca::TdNucaRuntimeHooks> hooks_td_;
-  std::unique_ptr<runtime::RuntimeSystem> runtime_;
-
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::Watchdog> watchdog_;
-
+  AppRuntime app_;
   bool completed_ = false;
 };
 

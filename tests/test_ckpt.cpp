@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "harness/runner.hpp"
 #include "multi/mix.hpp"
 #include "obs/latency_histogram.hpp"
+#include "obs/recorder.hpp"
 #include "serve/serve_system.hpp"
 #include "sim/event_queue.hpp"
 #include "workloads/workload.hpp"
@@ -147,7 +149,8 @@ TEST(CkptCodec, DecoderThrowsOnTruncationNeverReadsPast) {
   ckpt::Encoder e;
   e.u64(42);
   const std::string bytes = e.take();
-  ckpt::Decoder d(bytes.substr(0, 5));
+  const std::string head = bytes.substr(0, 5);  // Decoder does not own bytes
+  ckpt::Decoder d(head);
   EXPECT_THROW(d.u64(), ckpt::SnapshotError);
   ckpt::Decoder d2(bytes);
   (void)d2.u64();
@@ -476,6 +479,59 @@ TEST(CkptServe, WatchdogIsArmedAndQuietInServingRuns) {
   ASSERT_NE(sys.watchdog(), nullptr);
   EXPECT_FALSE(sys.watchdog()->fired());
   EXPECT_GT(sys.watchdog()->ticks(), 0u);
+}
+
+// Interval epoch probes difference cumulative counters, and a checkpoint
+// fold zeroes those counters mid-run: each probe must restart at the fold,
+// never wrap around (a wrapped hit ratio reads just above 1).
+TEST(CkptServe, EpochProbesStayInRangeAcrossFolds) {
+  system::SystemConfig cfg;
+  cfg.policy = system::PolicyKind::SNuca;
+  serve::ServeOptions opts;
+  opts.arrival = "fixed:gap=60k";
+  opts.horizon = 600'000;
+  opts.request_scale = 0.05;
+  obs::RecorderConfig rc;
+  rc.epochs = true;
+  rc.epoch_cycles = 20'000;
+  obs::Recorder rec(rc);
+  TempDir dir("probes");
+  ServeSystem sys(cfg, multi::MixSpec::parse("gauss"), opts, &rec);
+  sys.build(small_params());
+  sys.set_checkpoint(cadence(dir.path, 200'000), kFp);
+  sys.run();
+  ASSERT_GT(sys.snapshots_written(), 0u);
+
+  std::istringstream csv(rec.epochs_csv());
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  std::vector<std::string> names;
+  for (std::istringstream hs(line); std::getline(hs, line, ',');)
+    names.push_back(line);
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  std::size_t ratios = 0, utils = 0;
+  while (std::getline(csv, line)) {
+    std::istringstream rs(line);
+    std::string cell;
+    for (std::size_t i = 0; std::getline(rs, cell, ','); ++i) {
+      ASSERT_LT(i, names.size());
+      const double v = std::stod(cell);
+      const std::string& n = names[i];
+      if (ends_with(n, ".hit_ratio")) {
+        ++ratios;
+        EXPECT_GE(v, 0.0) << n << " row " << line;
+        EXPECT_LE(v, 1.0) << n << " row " << line;
+      } else if (n.rfind("noc.", 0) == 0 && ends_with(n, ".util")) {
+        ++utils;
+        EXPECT_LE(v, 1.0) << n << " row " << line;
+      }
+    }
+  }
+  EXPECT_GT(ratios, 0u);
+  EXPECT_GT(utils, 0u);
 }
 
 // --- harness plumbing -----------------------------------------------------

@@ -212,10 +212,13 @@ TEST(MultiProgramFault, DeadBankInOnePartitionDegradesOnlyThatApp) {
   // Bank 3 is in app0's row partition (rows 0-1 on the 4x4 mesh); it dies
   // early enough that both apps are still running.
   cfg.fault.plan = "bank_fail@3:cycle=5k";
+  cfg.fault.watchdog_budget = 50'000;
   MultiProgramSystem sys(cfg, MixSpec::parse("gauss+histo"));
   sys.build(small_params());
   sys.run();
   ASSERT_TRUE(sys.completed());
+  ASSERT_NE(sys.watchdog(), nullptr);
+  EXPECT_FALSE(sys.watchdog()->fired());
 
   ASSERT_NE(sys.fault_injector(), nullptr);
   EXPECT_EQ(sys.fault_injector()->health().counters.banks_failed, 1u);
