@@ -5,10 +5,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,14 +44,67 @@ inline ckpt::Options& ckpt_flags() {
   return opts;
 }
 
-/// "50k" / "2M" / "12345" → cycles. Returns 0 on garbage (flag ignored).
-inline Cycle parse_cycles(const std::string& s) {
+/// The flags init() and obs_section() parse, for usage errors.
+inline constexpr const char* kSharedUsage =
+    "usage: <bench> [flags]\n"
+    "  --jobs N | -j N          simulations run N at a time (0 = all cores)\n"
+    "  --checkpoint-dir PATH    serving runs publish quiescent-point "
+    "snapshots\n"
+    "  --checkpoint-every N     snapshot cadence in cycles (k/M suffixes ok)\n"
+    "  --resume                 resume serving runs from --checkpoint-dir\n"
+    "  --trace PATH | --trace-coherence | --epochs PATH | --epochs-json PATH\n"
+    "  --heatmaps PATH | --heatmaps-json PATH | --latency-report PATH\n"
+    "  --epoch-cycles N | --obs-workload NAME | --obs-policy NAME\n"
+    "  (docs/harness.md, docs/observability.md)\n";
+
+/// A bad command line: print @p msg and the shared usage to stderr and exit
+/// with status 2.
+[[noreturn]] inline void usage_error(const std::string& msg) {
+  std::fprintf(stderr, "%s\n%s", msg.c_str(), kSharedUsage);
+  std::exit(2);
+}
+
+/// "50k" / "2M" / "12345" → cycles; nullopt unless the whole string is a
+/// non-negative number with an optional k/M suffix.
+inline std::optional<Cycle> parse_cycles(const std::string& s) {
+  if (s.empty() || !(std::isdigit(static_cast<unsigned char>(s[0])) ||
+                     s[0] == '.'))
+    return std::nullopt;
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || v < 0) return 0;
-  if (end != nullptr && *end == 'k') v *= 1e3;
-  else if (end != nullptr && *end == 'M') v *= 1e6;
+  if (end == s.c_str() || !std::isfinite(v) || v < 0) return std::nullopt;
+  if (*end == 'k') {
+    v *= 1e3;
+    ++end;
+  } else if (*end == 'M') {
+    v *= 1e6;
+    ++end;
+  }
+  if (*end != '\0' || v >= 1.8e19) return std::nullopt;
   return static_cast<Cycle>(v);
+}
+
+/// A base-10 unsigned integer no larger than @p max; nullopt on anything
+/// else (signs, spaces, suffixes, overflow).
+inline std::optional<std::uint64_t> parse_count(
+    const std::string& s,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (s.empty() || s.size() > 20) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
+    if (v > (max - d) / 10) return std::nullopt;
+    v = v * 10 + d;
+  }
+  return v;
+}
+
+/// The value after flag argv[i], advancing i; a usage error if missing.
+inline std::string flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc)
+    usage_error(std::string(argv[i]) + " requires a value");
+  return argv[++i];
 }
 
 /// First SIGINT/SIGTERM: request a cooperative interrupt — a serving run
@@ -78,17 +135,17 @@ inline void init(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--jobs" || a == "-j") {
-      if (i + 1 < argc) {
-        jobs_flag() = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else {
-        std::fprintf(stderr, "%s requires a value\n", a.c_str());
-      }
+      const std::string v = flag_value(argc, argv, i);
+      const auto jobs = parse_count(v, std::numeric_limits<unsigned>::max());
+      if (!jobs) usage_error(a + ": not a thread count: '" + v + "'");
+      jobs_flag() = static_cast<unsigned>(*jobs);
     } else if (a == "--checkpoint-dir") {
-      if (i + 1 < argc) ckpt_flags().dir = argv[++i];
-      else std::fprintf(stderr, "%s requires a value\n", a.c_str());
+      ckpt_flags().dir = flag_value(argc, argv, i);
     } else if (a == "--checkpoint-every") {
-      if (i + 1 < argc) ckpt_flags().every = parse_cycles(argv[++i]);
-      else std::fprintf(stderr, "%s requires a value\n", a.c_str());
+      const std::string v = flag_value(argc, argv, i);
+      const auto every = parse_cycles(v);
+      if (!every) usage_error(a + ": not a cycle count: '" + v + "'");
+      ckpt_flags().every = *every;
     } else if (a == "--resume") {
       ckpt_flags().resume = true;
     }
@@ -170,7 +227,12 @@ inline void obs_section(int argc, char** argv) {
     else if (a == "--heatmaps") cfg.obs.heatmaps_path = val(i);
     else if (a == "--heatmaps-json") cfg.obs.heatmaps_json_path = val(i);
     else if (a == "--latency-report") cfg.obs.latency_report_path = val(i);
-    else if (a == "--epoch-cycles") cfg.obs.epoch_cycles = std::strtoull(val(i).c_str(), nullptr, 10);
+    else if (a == "--epoch-cycles") {
+      const std::string v = val(i);
+      const auto cycles = parse_cycles(v);
+      if (!cycles) usage_error(a + ": not a cycle count: '" + v + "'");
+      cfg.obs.epoch_cycles = *cycles;
+    }
     else if (a == "--obs-workload") {
       cfg.workload = val(i);
       // Reject typos up front with the full menu — a bad name would

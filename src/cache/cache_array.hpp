@@ -92,7 +92,7 @@ class CacheArray {
   /// If a valid victim is displaced, it is returned so the caller can write
   /// it back / invalidate copies. The new line is MRU.
   ///
-  /// @p avoid, when set, marks victim addresses that must not be displaced
+  /// @p avoid marks victim addresses that must not be displaced
   /// (lines with an in-flight coherence transaction). If every way in the
   /// allocation window is unevictable — effectively impossible for a
   /// blocking directory over a full 16-way set, but reachable under narrow
@@ -105,13 +105,20 @@ class CacheArray {
   /// allocation (invalid-way scan, victim choice and avoid fallback) to that
   /// way range of the set — CAT-style way partitioning (tdn::multi).
   /// way_count == 0 means the whole set.
+  ///
+  /// The predicate is a template parameter, not a type-erased callable, so
+  /// a fill costs no allocation or indirect call; the default pins nothing.
   struct Eviction {
     Addr addr;
     Meta meta;
   };
+  struct AvoidNone {
+    constexpr bool operator()(Addr) const noexcept { return false; }
+  };
+  template <typename Avoid = AvoidNone>
   Line& allocate(Addr line_addr, std::optional<Eviction>& evicted,
-                 const std::function<bool(Addr)>& avoid = {},
-                 unsigned first_way = 0, unsigned way_count = 0) {
+                 const Avoid& avoid = {}, unsigned first_way = 0,
+                 unsigned way_count = 0) {
     TDN_ASSERT(find(line_addr) == nullptr);
     if (way_count == 0) {
       first_way = 0;
@@ -130,7 +137,7 @@ class CacheArray {
     }
     if (way == geo_.associativity) {
       way = plru_[s].victim_in(first_way, way_count);
-      if (avoid && avoid(at(s, way).addr)) {
+      if (avoid(at(s, way).addr)) {
         bool found_safe = false;
         for (unsigned w = first_way; w < end_way; ++w) {
           if (!avoid(at(s, w).addr)) {

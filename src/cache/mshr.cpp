@@ -4,30 +4,13 @@
 
 namespace tdn::cache {
 
-MshrFile::Outcome MshrFile::register_miss(Addr line_addr,
-                                          std::function<void()>&& on_fill) {
-  auto it = entries_.find(line_addr);
-  if (it != entries_.end()) {
-    it->second.push_back(std::move(on_fill));
-    merges_.inc();
-    return Outcome::Merged;
-  }
-  // Capacity is checked before consuming on_fill: on Full the callback must
-  // remain with the caller (see the header contract) so it can be retried.
-  if (entries_.size() >= capacity_) {
-    full_.inc();
-    return Outcome::Full;
-  }
-  entries_[line_addr].push_back(std::move(on_fill));
-  return Outcome::NewEntry;
-}
-
-std::vector<std::function<void()>> MshrFile::complete(Addr line_addr) {
-  auto it = entries_.find(line_addr);
-  TDN_REQUIRE(it != entries_.end(), "completing a miss that is not in flight");
-  auto cbs = std::move(it->second);
-  entries_.erase(it);
-  return cbs;
+MshrFile::Fills MshrFile::complete(Addr line_addr) {
+  Entry* e = find(line_addr);
+  TDN_REQUIRE(e != nullptr && line_addr != kFree,
+              "completing a miss that is not in flight");
+  e->line = kFree;
+  --outstanding_;
+  return fills_.drain(e->fills);
 }
 
 }  // namespace tdn::cache

@@ -94,15 +94,13 @@ std::uint64_t CoherentSystem::app_resident_lines(unsigned app) const {
 // --------------------------------------------------------------------------
 
 void CoherentSystem::access(CoreId core, Addr vaddr, Addr paddr,
-                            AccessKind kind,
-                            std::function<void(Cycle)> done) {
+                            AccessKind kind, AccessDone done) {
   access_internal(core, vaddr, paddr, kind, std::move(done),
                   /*replay=*/false);
 }
 
 void CoherentSystem::access_internal(CoreId core, Addr vaddr, Addr paddr,
-                                     AccessKind kind,
-                                     std::function<void(Cycle)> done,
+                                     AccessKind kind, AccessDone&& done,
                                      bool replay) {
   // Page-walker PTE loads (kernel physical region) stay out of the NUCA
   // policies' page-classification machinery: hardware walkers bypass the
@@ -137,7 +135,7 @@ void CoherentSystem::access_internal(CoreId core, Addr vaddr, Addr paddr,
 
 void CoherentSystem::start_miss(CoreId core, Addr vaddr, Addr line,
                                 AccessKind kind, Cycle issued_at,
-                                std::function<void(Cycle)> done) {
+                                AccessDone&& done) {
   L1& l1 = l1s_[core];
   // Structural hazard: all MSHRs busy and this line is not mergeable.
   // Back off and retry the whole miss.
@@ -153,40 +151,24 @@ void CoherentSystem::start_miss(CoreId core, Addr vaddr, Addr line,
     return;
   }
   // Retrying through the full access path replays the reference once the
-  // fill lands; the line is then (normally) an L1 hit.
-  auto retry = [this, core, vaddr, line, kind, issued_at,
-                done = std::move(done)]() mutable {
-    // Note: `line` recomputes identically as paddr (it is line-aligned).
-    // The replay is the same demand access: it must not re-count stats.
-    if (attr_ != nullptr) attr_->on_complete(core, line, issued_at, eq_.now());
-    stats_.miss_latency.add(static_cast<double>(eq_.now() - issued_at));
-    access_internal(core, vaddr, line, kind, std::move(done),
-                    /*replay=*/true);
-  };
-  register_miss_or_retry(core, vaddr, line, kind, issued_at, std::move(retry));
-}
-
-void CoherentSystem::register_miss_or_retry(CoreId core, Addr vaddr, Addr line,
-                                            AccessKind kind, Cycle issued_at,
-                                            std::function<void()> on_fill) {
-  const auto outcome = l1s_[core].mshr.register_miss(line, std::move(on_fill));
-  if (outcome == cache::MshrFile::Outcome::Full) {
-    // The pre-check in start_miss normally backs off before registration can
-    // fail, but a Full outcome must never lose the fill callback: MshrFile
-    // guarantees on_fill is left intact on Full, so re-queue it until a
-    // register slot frees up.
-    stats_.mshr_stalls.inc();
-    eq_.schedule_in(cfg_.mshr_retry_delay,
-                    [this, core, vaddr, line, kind, issued_at,
-                     cb = std::move(on_fill)]() mutable {
-                      register_miss_or_retry(core, vaddr, line, kind,
-                                             issued_at, std::move(cb));
-                    });
-    return;
-  }
-  if (outcome == cache::MshrFile::Outcome::NewEntry) {
+  // fill lands; the line is then (normally) an L1 hit. The pre-check above
+  // is exactly MshrFile's Full condition, so registration cannot fail here
+  // and the callback (which owns `done`) is never dropped.
+  const auto outcome = l1.mshr.register_miss(
+      line, [this, core, vaddr, line, kind, issued_at,
+             done = std::move(done)]() mutable {
+        // Note: `line` recomputes identically as paddr (it is line-aligned).
+        // The replay is the same demand access: it must not re-count stats.
+        if (attr_ != nullptr)
+          attr_->on_complete(core, line, issued_at, eq_.now());
+        stats_.miss_latency.add(static_cast<double>(eq_.now() - issued_at));
+        access_internal(core, vaddr, line, kind, std::move(done),
+                        /*replay=*/true);
+      });
+  TDN_CHECK(outcome != cache::MshrFile::Outcome::Full,
+            "MSHR registration failed after the capacity check");
+  if (outcome == cache::MshrFile::Outcome::NewEntry)
     launch_transaction(core, vaddr, line, kind, issued_at);
-  }
 }
 
 void CoherentSystem::launch_transaction(CoreId core, Addr vaddr, Addr line,
@@ -281,12 +263,11 @@ void CoherentSystem::bank_request(BankId bank, CoreId requester, Addr line,
       else bank_respond_write(bank, requester, line);
     });
   };
-  auto it = b.blocked.find(line);
-  if (it != b.blocked.end()) {
-    it->second.push_back(std::move(process));  // blocking directory
+  if (auto* bl = b.find_blocked(line)) {
+    blocked_actions_.push(bl->queue, process);  // blocking directory
     return;
   }
-  b.blocked.emplace(line, std::deque<sim::Action>{});
+  b.blocked.push_back({line, {}});
   process();
 }
 
@@ -363,7 +344,7 @@ void CoherentSystem::bank_respond_write(BankId bank, CoreId requester,
         l1s_[requester].array.touch(line);
         // Replay any merged misses waiting on this line.
         if (l1s_[requester].mshr.in_flight(line)) {
-          for (auto& cb : l1s_[requester].mshr.complete(line))
+          for (sim::Action& cb : l1s_[requester].mshr.complete(line))
             eq_.schedule_in(0, std::move(cb));
         }
       } else {
@@ -377,7 +358,7 @@ void CoherentSystem::bank_respond_write(BankId bank, CoreId requester,
     grant();
     return;
   }
-  auto join = sim::make_joiner(std::move(grant));
+  sim::Joiner* join = joiners_.make(std::move(grant));
   targets.for_each([&](CoreId t) {
     join->add();
     stats_.invalidations_sent.inc();
@@ -428,7 +409,7 @@ void CoherentSystem::bank_fetch_from_memory(BankId bank, CoreId requester,
 void CoherentSystem::bank_install(BankId bank, CoreId requester, Addr line) {
   Bank& b = banks_[bank];
   std::optional<cache::CacheArray<LlcMeta>::Eviction> evicted;
-  auto busy = [&b](Addr a) { return b.blocked.count(a) != 0; };
+  auto busy = [&b](Addr a) { return b.find_blocked(a) != nullptr; };
   const WayRange wq = way_quota(requester);
   auto& ln = b.array.allocate(line, evicted, busy, wq.first, wq.count);
   if (view_.num_apps > 0) ln.meta.app = app_of(requester);
@@ -451,15 +432,15 @@ void CoherentSystem::bank_install(BankId bank, CoreId requester, Addr line) {
 
 void CoherentSystem::bank_unblock(BankId bank, Addr line) {
   Bank& b = banks_[bank];
-  auto it = b.blocked.find(line);
-  TDN_ASSERT(it != b.blocked.end());
-  if (it->second.empty()) {
-    b.blocked.erase(it);
+  auto* bl = b.find_blocked(line);
+  TDN_ASSERT(bl != nullptr);
+  if (bl->queue.empty()) {
+    *bl = b.blocked.back();  // unordered table: swap-remove
+    b.blocked.pop_back();
     return;
   }
-  auto next = std::move(it->second.front());
-  it->second.pop_front();
-  eq_.schedule_in(0, std::move(next));  // line stays blocked for `next`
+  // The line stays blocked for the replayed request.
+  eq_.schedule_in(0, blocked_actions_.pop(bl->queue));
 }
 
 void CoherentSystem::bank_writeback(BankId bank, CoreId from, Addr line) {
@@ -505,9 +486,9 @@ void CoherentSystem::evacuate_bank(BankId bank) {
   Bank& b = banks_[bank];
   const AddrRange all{0, ~Addr{0}};
   b.array.for_each_in_range(all, [&](Addr la, LlcMeta& m) {
-    if (b.blocked.count(la) != 0) {
+    if (auto* bl = b.find_blocked(la)) {
       // A transaction is in flight on this line; evacuate once it settles.
-      b.blocked[la].push_back([this, bank, la] {
+      blocked_actions_.push(bl->queue, [this, bank, la] {
         if (auto* ln = banks_[bank].array.find(la)) {
           evacuate_line(bank, la, ln->meta);
           banks_[bank].array.invalidate(la);
@@ -554,7 +535,8 @@ void CoherentSystem::l1_fill(CoreId core, Addr line, L1Meta meta) {
     if (evicted) l1_evict_victim(core, evicted->addr, evicted->meta);
   }
   if (l1.mshr.in_flight(line)) {
-    for (auto& cb : l1.mshr.complete(line)) eq_.schedule_in(0, std::move(cb));
+    for (sim::Action& cb : l1.mshr.complete(line))
+      eq_.schedule_in(0, std::move(cb));
   }
 }
 
@@ -639,7 +621,7 @@ void CoherentSystem::flush_l1_range(CoreMask cores, const AddrRange& prange,
       if (inner) inner();
     };
   }
-  auto join = sim::make_joiner(std::move(done));
+  sim::Joiner* join = joiners_.make(std::move(done));
   const Cycle scan_cycles =
       (range_lines + cfg_.flush_lines_per_cycle - 1) / cfg_.flush_lines_per_cycle;
   cores.for_each([&](CoreId c) {
@@ -697,7 +679,7 @@ void CoherentSystem::flush_llc_range(BankMask banks, const AddrRange& prange,
       if (inner) inner();
     };
   }
-  auto join = sim::make_joiner(std::move(done));
+  sim::Joiner* join = joiners_.make(std::move(done));
   const Cycle scan_cycles =
       (range_lines + cfg_.flush_lines_per_cycle - 1) / cfg_.flush_lines_per_cycle;
   banks.for_each([&](CoreId bank) {
@@ -706,11 +688,11 @@ void CoherentSystem::flush_llc_range(BankMask banks, const AddrRange& prange,
     Bank& b = banks_[bank];
     std::uint64_t wb_index = 0;
     b.array.for_each_in_range(prange, [&](Addr la, LlcMeta& m) {
-      if (b.blocked.count(la) != 0) {
+      if (auto* bl = b.find_blocked(la)) {
         // A transaction is in flight on this line: defer this line's flush
         // until it completes, then finish it out-of-band.
         join->add();
-        b.blocked[la].push_back([this, bank, la, join] {
+        blocked_actions_.push(bl->queue, [this, bank, la, join] {
           if (auto* ln = banks_[bank].array.find(la)) {
             flush_llc_line_now(bank, la, ln->meta, join, 0);
             banks_[bank].array.invalidate(la);
@@ -732,8 +714,7 @@ void CoherentSystem::flush_llc_range(BankMask banks, const AddrRange& prange,
 }
 
 void CoherentSystem::flush_llc_line_now(BankId bank, Addr la, const LlcMeta& m,
-                                        const sim::JoinerPtr& join,
-                                        Cycle delay) {
+                                        sim::Joiner* join, Cycle delay) {
   stats_.flush_llc_lines.inc();
   CoreMask copies = m.sharers;
   if (m.owner != kInvalidCore) copies.set(m.owner);

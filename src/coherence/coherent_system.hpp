@@ -21,10 +21,7 @@
 // lookup.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hpp"
@@ -36,7 +33,9 @@
 #include "mem/dram.hpp"
 #include "noc/network.hpp"
 #include "nuca/mapping.hpp"
+#include "sim/action_pool.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/inline_function.hpp"
 #include "sim/joiner.hpp"
 #include "stats/counters.hpp"
 
@@ -67,6 +66,10 @@ struct LlcMeta {
   std::uint8_t app = 0;
 };
 
+/// Completion of one demand access; receives the cycle it completes at.
+/// Inline, so a miss carries it without allocating (captures <= 48 bytes).
+using AccessDone = sim::InlineFunction<void(Cycle), 48>;
+
 class CoherentSystem final : public nuca::CacheOps {
  public:
   /// @p rec (optional) receives flush spans and coherence-transaction
@@ -80,7 +83,7 @@ class CoherentSystem final : public nuca::CacheOps {
   /// Perform one memory reference. @p done receives the cycle at which the
   /// reference completes; for L1 hits it is invoked synchronously.
   void access(CoreId core, Addr vaddr, Addr paddr, AccessKind kind,
-              std::function<void(Cycle done_at)> done);
+              AccessDone done);
 
   // --- CacheOps (flushes driven by policies / the runtime) ------------
   void flush_l1_range(CoreMask cores, const AddrRange& prange,
@@ -261,25 +264,31 @@ class CoherentSystem final : public nuca::CacheOps {
     Cycle next_free = 0;
     std::uint64_t cross_app_conflicts = 0;  ///< see bank_cross_app_conflicts
     std::uint8_t last_app = 0xff;  ///< app of the last accepted request
-    /// Blocking directory: blocked[line] holds actions to replay once the
-    /// in-flight transaction on that line completes. Inline callables: a
-    /// queued request costs no allocation (see sim/inline_function.hpp).
-    std::unordered_map<Addr, std::deque<sim::Action>> blocked;
+    /// Blocking directory: one entry per line with an in-flight
+    /// transaction, holding the actions to replay once it completes. A
+    /// small flat table (a bank rarely has more than a few lines open)
+    /// with pooled intrusive FIFOs: a queued request costs no allocation.
+    struct BlockedLine {
+      Addr line;
+      sim::ActionPool::Fifo queue;
+    };
+    std::vector<BlockedLine> blocked;
+    BlockedLine* find_blocked(Addr line) {
+      for (BlockedLine& bl : blocked)
+        if (bl.line == line) return &bl;
+      return nullptr;
+    }
   };
 
   Addr line_of(Addr a) const { return align_down(a, cfg_.l1.line_size); }
 
   void access_internal(CoreId core, Addr vaddr, Addr paddr, AccessKind kind,
-                       std::function<void(Cycle)> done, bool replay);
+                       AccessDone&& done, bool replay);
+  /// Register the miss with @p core's MSHR file (launching the transaction
+  /// on a primary miss), or back off and retry the whole miss while every
+  /// MSHR is busy and the line cannot merge.
   void start_miss(CoreId core, Addr vaddr, Addr line, AccessKind kind,
-                  Cycle issued_at, std::function<void(Cycle)> done);
-  /// (Re-)register a prepared on_fill callback with @p core's MSHR file,
-  /// launching the transaction on NewEntry and backing off on Full. The
-  /// callback is never dropped: MshrFile guarantees it is left intact on
-  /// Outcome::Full, and this helper re-queues it until it registers.
-  void register_miss_or_retry(CoreId core, Addr vaddr, Addr line,
-                              AccessKind kind, Cycle issued_at,
-                              std::function<void()> on_fill);
+                  Cycle issued_at, AccessDone&& done);
   void launch_transaction(CoreId core, Addr vaddr, Addr line, AccessKind kind,
                           Cycle issued_at);
   /// Home bank for page-table lines (vaddr >= kKernelBase): static
@@ -311,8 +320,7 @@ class CoherentSystem final : public nuca::CacheOps {
                       AccessKind kind);
   void evacuate_line(BankId bank, Addr la, const LlcMeta& m);
   void flush_llc_line_now(BankId bank, Addr la, const LlcMeta& m,
-                          const std::shared_ptr<sim::Joiner>& join,
-                          Cycle delay);
+                          sim::Joiner* join, Cycle delay);
 
   sim::EventQueue& eq_;
   noc::Network& net_;
@@ -336,6 +344,8 @@ class CoherentSystem final : public nuca::CacheOps {
 
   std::vector<L1> l1s_;
   std::vector<Bank> banks_;
+  sim::ActionPool blocked_actions_;  ///< nodes of every Bank::blocked FIFO
+  sim::JoinerPool joiners_;
   Stats stats_;
   AppView view_;
   std::vector<AppCounters> app_counters_;

@@ -88,9 +88,7 @@ void SimCore::issue_load(const AccessOp& op, Addr paddr) {
     --loads_in_flight_;
     if (stalled_on_load_window_) {
       stalled_on_load_window_ = false;
-      auto resume = std::move(resume_load_);
-      resume_load_ = nullptr;
-      eq_.schedule_in(0, std::move(resume));
+      eq_.schedule_in(0, std::move(resume_load_));
     } else {
       finish_if_drained();
     }
@@ -107,9 +105,7 @@ void SimCore::issue_store(const AccessOp& op, Addr paddr) {
     --stores_in_flight_;
     if (stalled_on_store_buffer_) {
       stalled_on_store_buffer_ = false;
-      auto resume = std::move(resume_store_);
-      resume_store_ = nullptr;
-      eq_.schedule_in(0, std::move(resume));
+      eq_.schedule_in(0, std::move(resume_store_));
     } else {
       finish_if_drained();
     }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/require.hpp"
@@ -18,9 +19,12 @@ struct Coord {
 
 class Mesh {
  public:
-  Mesh(unsigned width, unsigned height) : w_(width), h_(height) {
-    TDN_REQUIRE(width > 0 && height > 0, "mesh dimensions must be positive");
-  }
+  /// Link directions out of a tile: 0=E, 1=W, 2=N, 3=S (y grows downward).
+  static constexpr unsigned kDirs = 4;
+
+  /// Builds the XY route table: one route per (src, dst) pair, stored
+  /// back to back in one flat array, so xy_route() is a lookup.
+  Mesh(unsigned width, unsigned height);
 
   unsigned width() const noexcept { return w_; }
   unsigned height() const noexcept { return h_; }
@@ -44,13 +48,35 @@ class Mesh {
     return dx + dy;
   }
 
-  /// Tiles on the XY route from src to dst, inclusive of both endpoints.
-  std::vector<CoreId> xy_route(CoreId src, CoreId dst) const;
+  /// Tiles on the XY route from src to dst, inclusive of both endpoints —
+  /// a view into the precomputed route table.
+  std::span<const CoreId> xy_route(CoreId src, CoreId dst) const {
+    const std::size_t k = route_index(src, dst);
+    return {route_tiles_.data() + route_off_[k],
+            route_off_[k + 1] - route_off_[k]};
+  }
+  /// Direction of each hop of xy_route(src, dst): entry i is the link from
+  /// route tile i to tile i + 1.
+  std::span<const std::uint8_t> xy_route_dirs(CoreId src, CoreId dst) const {
+    // A route of n tiles has n - 1 hops, so route k's dirs start k entries
+    // earlier in the dir array than its tiles do in the tile array.
+    const std::size_t k = route_index(src, dst);
+    return {route_dirs_.data() + route_off_[k] - k,
+            route_off_[k + 1] - route_off_[k] - 1};
+  }
 
   /// Tiles on the YX (Y-dimension first) route from src to dst, inclusive of
   /// both endpoints. The deterministic fallback route when a link on the XY
   /// path has failed.
   std::vector<CoreId> yx_route(CoreId src, CoreId dst) const;
+
+  /// Direction (0=E,1=W,2=N,3=S) of the link from @p from to the adjacent
+  /// tile @p to.
+  unsigned dir_between(CoreId from, CoreId to) const;
+  /// Whether @p tile has a neighbour in direction @p dir.
+  bool has_neighbor(CoreId tile, unsigned dir) const;
+  /// The tile adjacent to @p tile in direction @p dir (must exist).
+  CoreId neighbor(CoreId tile, unsigned dir) const;
 
   /// The quadrant cluster (paper Sec. III "LLC Cluster Replication"):
   /// the mesh is divided into (w/2 x h/2)-aligned 2x2 quadrants on a 4x4
@@ -71,8 +97,18 @@ class Mesh {
   double theoretical_mean_distance() const;
 
  private:
+  std::size_t route_index(CoreId src, CoreId dst) const {
+    TDN_ASSERT(src < tiles() && dst < tiles());
+    return static_cast<std::size_t>(src) * tiles() + dst;
+  }
+
   unsigned w_;
   unsigned h_;
+  /// Route k = src * tiles() + dst occupies route_tiles_[route_off_[k],
+  /// route_off_[k + 1]) and route_dirs_ from route_off_[k] - k on.
+  std::vector<std::size_t> route_off_;
+  std::vector<CoreId> route_tiles_;
+  std::vector<std::uint8_t> route_dirs_;
 };
 
 }  // namespace tdn::noc

@@ -1,6 +1,5 @@
 #include "noc/network.hpp"
 
-#include <array>
 #include <memory>
 
 #include "common/require.hpp"
@@ -9,48 +8,16 @@ namespace tdn::noc {
 
 Network::Network(const Mesh& mesh, sim::EventQueue& eq, NetworkConfig cfg)
     : mesh_(mesh), eq_(eq), cfg_(cfg), links_(mesh.tiles()),
-      link_bytes_(mesh.tiles(), {0, 0, 0, 0}),
       per_router_bytes_(mesh.tiles(), 0) {
   TDN_REQUIRE(cfg_.link_bytes_per_cycle > 0, "link bandwidth must be positive");
 }
 
-unsigned Network::dir_between(CoreId from, CoreId to) const {
-  const Coord a = mesh_.coord(from);
-  const Coord b = mesh_.coord(to);
-  if (b.x == a.x + 1) return 0;  // east
-  if (a.x == b.x + 1) return 1;  // west
-  if (b.y == a.y + 1) return 3;  // south (y grows downward)
-  return 2;                      // north
-}
-
-bool Network::has_link(CoreId tile, unsigned dir) const {
-  const Coord c = mesh_.coord(tile);
-  switch (dir) {
-    case 0: return c.x + 1 < mesh_.width();
-    case 1: return c.x > 0;
-    case 2: return c.y > 0;
-    case 3: return c.y + 1 < mesh_.height();
-  }
-  return false;
-}
-
-bool Network::path_blocked(const std::vector<CoreId>& path) const {
+bool Network::path_blocked(std::span<const CoreId> path) const {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (!health_->link_ok(path[i], dir_between(path[i], path[i + 1])))
+    if (!health_->link_ok(path[i], mesh_.dir_between(path[i], path[i + 1])))
       return true;
   }
   return false;
-}
-
-CoreId Network::neighbor(CoreId tile, unsigned dir) const {
-  Coord c = mesh_.coord(tile);
-  switch (dir) {
-    case 0: ++c.x; break;
-    case 1: --c.x; break;
-    case 2: --c.y; break;
-    case 3: ++c.y; break;
-  }
-  return mesh_.tile(c);
 }
 
 bool Network::find_detour(CoreId src, CoreId dst,
@@ -59,15 +26,18 @@ bool Network::find_detour(CoreId src, CoreId dst,
   // link between neighbours defeats both. Dog-leg through each healthy
   // neighbour of src (fixed direction order keeps routing deterministic)
   // and take the first fully healthy path.
-  for (unsigned dir = 0; dir < 4; ++dir) {
+  for (unsigned dir = 0; dir < kLinkDirs; ++dir) {
     if (!has_link(src, dir) || !health_->link_ok(src, dir)) continue;
-    const CoreId w = neighbor(src, dir);
+    const CoreId w = mesh_.neighbor(src, dir);
     for (const bool yx : {false, true}) {
-      auto tail = yx ? mesh_.yx_route(w, dst) : mesh_.xy_route(w, dst);
-      std::vector<CoreId> cand;
-      cand.reserve(tail.size() + 1);
-      cand.push_back(src);
-      cand.insert(cand.end(), tail.begin(), tail.end());
+      std::vector<CoreId> cand{src};
+      if (yx) {
+        const auto tail = mesh_.yx_route(w, dst);
+        cand.insert(cand.end(), tail.begin(), tail.end());
+      } else {
+        const auto tail = mesh_.xy_route(w, dst);
+        cand.insert(cand.end(), tail.begin(), tail.end());
+      }
       if (!path_blocked(cand)) {
         path = std::move(cand);
         return true;
@@ -77,38 +47,30 @@ bool Network::find_detour(CoreId src, CoreId dst,
   return false;
 }
 
-void Network::send(CoreId src, CoreId dst, MsgClass cls, sim::Action deliver) {
-  send_attempt(src, dst, cls, std::move(deliver), 0);
-}
-
-void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
-                           sim::Action deliver, unsigned attempt) {
-  auto path = mesh_.xy_route(src, dst);
+Cycle Network::reserve(CoreId src, CoreId dst, MsgClass cls,
+                       unsigned attempt) {
+  std::span<const CoreId> path = mesh_.xy_route(src, dst);
+  std::span<const std::uint8_t> dirs = mesh_.xy_route_dirs(src, dst);
+  // Fault path only: a rerouted message walks a freshly built hop list.
+  std::vector<CoreId> alt;
+  std::vector<std::uint8_t> alt_dirs;
   if (health_ != nullptr && health_->any_link_failed() && path_blocked(path)) {
-    auto alt = mesh_.yx_route(src, dst);
-    if (!path_blocked(alt)) {
-      ++health_->counters.noc_reroutes;
-      path = std::move(alt);
-    } else if (find_detour(src, dst, path)) {
-      ++health_->counters.noc_reroutes;
-    } else {
+    alt = mesh_.yx_route(src, dst);
+    if (path_blocked(alt) && !find_detour(src, dst, alt)) {
       // Every known route crosses a dead link (a cut through the mesh).
       // Back off and retry a bounded number of times; the bound turns a
       // silent livelock into a diagnosable failure.
       TDN_CHECK(attempt < cfg_.dead_link_max_retries,
                 "message cannot route around failed links");
       ++health_->counters.noc_retries;
-      // An Action cannot nest inside another Action of the same capacity;
-      // box it for the (rare, fault-only) backoff. This is the one place on
-      // the message path that may allocate, and only when links have failed.
-      auto boxed = std::make_shared<sim::Action>(std::move(deliver));
-      eq_.schedule_in(cfg_.dead_link_backoff * (attempt + 1),
-                      [this, src, dst, cls, boxed, attempt] {
-                        send_attempt(src, dst, cls, std::move(*boxed),
-                                     attempt + 1);
-                      });
-      return;
+      return kUnroutable;
     }
+    ++health_->counters.noc_reroutes;
+    for (std::size_t i = 0; i + 1 < alt.size(); ++i)
+      alt_dirs.push_back(
+          static_cast<std::uint8_t>(mesh_.dir_between(alt[i], alt[i + 1])));
+    path = alt;
+    dirs = alt_dirs;
   }
   const unsigned bytes = bytes_of(cls);
   messages_.inc();
@@ -116,39 +78,48 @@ void Network::send_attempt(CoreId src, CoreId dst, MsgClass cls,
 
   // Every router the message traverses (including src and dst) moves the
   // payload through its crossbar once.
-  for (const CoreId t : path) {
-    per_router_bytes_[t] += bytes;
-    router_bytes_ += bytes;
-  }
-  hops_total_ += path.size() - 1;
+  for (const CoreId t : path) per_router_bytes_[t] += bytes;
+  router_bytes_ += static_cast<std::uint64_t>(bytes) * path.size();
+  hops_total_ += dirs.size();
 
   const Cycle start = eq_.now();
   Cycle t = start;
   const Cycle serialization =
       (bytes + cfg_.link_bytes_per_cycle - 1) / cfg_.link_bytes_per_cycle;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const unsigned dir = dir_between(path[i], path[i + 1]);
-    Link& link = links_[path[i]][dir];
-    link_bytes_[path[i]][dir] += bytes;
+  for (std::size_t i = 0; i < dirs.size(); ++i) {
+    Link& link = links_[path[i]][dirs[i]];
+    link.bytes += bytes;
     const Cycle depart = t > link.next_free ? t : link.next_free;
     // A bandwidth-degraded link serializes the same bytes over a longer
     // occupancy window (the degradation factor).
     Cycle occupancy = serialization;
     if (health_ != nullptr)
-      occupancy *= health_->link_factor(path[i], dir);
+      occupancy *= health_->link_factor(path[i], dirs[i]);
     link.next_free = depart + occupancy;
     t = depart + cfg_.router_latency + cfg_.link_latency;
   }
   latency_.add(static_cast<double>(t - start));
   if (auto* sink = transit_sinks_[static_cast<unsigned>(cls) & 1])
     sink->add(t - start);
-  if (t == start) {
-    // Local delivery in the same cycle would re-enter the caller's stack;
-    // defer by zero cycles through the queue to keep ordering uniform.
-    eq_.schedule_in(0, std::move(deliver));
-  } else {
-    eq_.schedule_at(t, std::move(deliver));
-  }
+  return t;
+}
+
+void Network::retry_later(CoreId src, CoreId dst, MsgClass cls,
+                          sim::Action&& deliver, unsigned attempt) {
+  // An Action cannot nest inside another Action of the same capacity; box
+  // it for the (rare, fault-only) backoff. This is the one place on the
+  // message path that may allocate, and only when links have failed.
+  auto boxed = std::make_shared<sim::Action>(std::move(deliver));
+  eq_.schedule_in(cfg_.dead_link_backoff * (attempt + 1),
+                  [this, src, dst, cls, boxed, attempt] {
+                    const Cycle arrive = reserve(src, dst, cls, attempt + 1);
+                    if (arrive == kUnroutable) {
+                      retry_later(src, dst, cls, std::move(*boxed),
+                                  attempt + 1);
+                      return;
+                    }
+                    eq_.schedule_at(arrive, std::move(*boxed));
+                  });
 }
 
 }  // namespace tdn::noc

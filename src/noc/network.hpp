@@ -10,7 +10,7 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -50,10 +50,19 @@ class Network {
 
   /// Send a message; @p deliver runs when the head arrives at @p dst.
   /// src == dst is a local (same-tile) transfer: zero network latency, but
-  /// the bytes still count as passing through the one local router.
-  /// @p deliver is an inline callable (sim::Action): per-message delivery
-  /// state never touches the heap — see sim/inline_function.hpp.
-  void send(CoreId src, CoreId dst, MsgClass cls, sim::Action deliver);
+  /// the bytes still count as passing through the one local router (and
+  /// delivery still goes through the queue, never re-entering the caller).
+  /// @p deliver is emplaced straight into its event slot: per-message
+  /// delivery state never touches the heap — see sim/inline_function.hpp.
+  template <typename F>
+  void send(CoreId src, CoreId dst, MsgClass cls, F&& deliver) {
+    const Cycle arrive = reserve(src, dst, cls, /*attempt=*/0);
+    if (arrive == kUnroutable) {
+      retry_later(src, dst, cls, sim::Action(std::forward<F>(deliver)), 0);
+      return;
+    }
+    eq_.schedule_at(arrive, std::forward<F>(deliver));
+  }
 
   /// Attach the shared resource-health view. Null (the default) keeps
   /// routing on the plain XY path with no per-link checks.
@@ -85,16 +94,18 @@ class Network {
   // --- per-link traffic (obs epoch sampler / heatmaps) ------------------
   /// Directional links are indexed (tile, dir) with dir 0=E,1=W,2=N,3=S:
   /// the link leaving @p tile toward that neighbour.
-  static constexpr unsigned kLinkDirs = 4;
+  static constexpr unsigned kLinkDirs = Mesh::kDirs;
   static const char* dir_name(unsigned dir) noexcept {
     constexpr const char* names[kLinkDirs] = {"e", "w", "n", "s"};
     return dir < kLinkDirs ? names[dir] : "?";
   }
   /// Whether @p tile has a neighbour in direction @p dir.
-  bool has_link(CoreId tile, unsigned dir) const;
+  bool has_link(CoreId tile, unsigned dir) const {
+    return mesh_.has_neighbor(tile, dir);
+  }
   /// Cumulative bytes serialized onto the (tile, dir) link.
   std::uint64_t link_bytes(CoreId tile, unsigned dir) const {
-    return link_bytes_.at(tile).at(dir);
+    return links_.at(tile).at(dir).bytes;
   }
   const NetworkConfig& config() const noexcept { return cfg_; }
 
@@ -104,7 +115,8 @@ class Network {
   /// every horizon is <= now, so they never influence post-boundary
   /// timing (the settle grace covers the serialization tail).
   void ckpt_reset_stats() noexcept {
-    for (auto& per_dir : link_bytes_) per_dir.fill(0);
+    for (auto& per_dir : links_)
+      for (Link& l : per_dir) l.bytes = 0;
     for (auto& b : per_router_bytes_) b = 0;
     router_bytes_ = 0;
     hops_total_ = 0;
@@ -115,29 +127,30 @@ class Network {
 
  private:
   struct Link {
-    Cycle next_free = 0;
+    Cycle next_free = 0;     ///< serialization horizon
+    std::uint64_t bytes = 0;  ///< cumulative bytes (statistics)
   };
-  /// Direction index (0=E,1=W,2=N,3=S) of the link from @p from to the
-  /// adjacent tile @p to.
-  unsigned dir_between(CoreId from, CoreId to) const;
+  static constexpr Cycle kUnroutable = kNeverCycle;
   /// Whether any link on @p path (hop list, endpoints inclusive) has failed.
-  bool path_blocked(const std::vector<CoreId>& path) const;
-  /// The tile adjacent to @p tile in direction @p dir (must exist).
-  CoreId neighbor(CoreId tile, unsigned dir) const;
+  bool path_blocked(std::span<const CoreId> path) const;
   /// When XY and YX both cross a dead link (src/dst share a row or column),
   /// try dog-leg routes through each healthy neighbour of src. Returns true
   /// and fills @p path with the first fully healthy candidate.
   bool find_detour(CoreId src, CoreId dst, std::vector<CoreId>& path) const;
-  void send_attempt(CoreId src, CoreId dst, MsgClass cls,
-                    sim::Action deliver, unsigned attempt);
+  /// Route one message, account its traffic and claim its links; returns
+  /// the head's arrival cycle, or kUnroutable when every known route
+  /// crosses a failed link (the caller backs off and retries).
+  Cycle reserve(CoreId src, CoreId dst, MsgClass cls, unsigned attempt);
+  /// Fault path: re-send after dead_link_backoff * (attempt + 1) cycles.
+  void retry_later(CoreId src, CoreId dst, MsgClass cls, sim::Action&& deliver,
+                   unsigned attempt);
 
   const Mesh& mesh_;
   sim::EventQueue& eq_;
   NetworkConfig cfg_;
   const fault::HealthState* health_ = nullptr;
   std::array<obs::LatencyHistogram*, 2> transit_sinks_{};  ///< [Control, Data]
-  std::vector<std::array<Link, 4>> links_;
-  std::vector<std::array<std::uint64_t, kLinkDirs>> link_bytes_;
+  std::vector<std::array<Link, kLinkDirs>> links_;
   std::vector<std::uint64_t> per_router_bytes_;
   std::uint64_t router_bytes_ = 0;
   std::uint64_t hops_total_ = 0;

@@ -13,7 +13,7 @@ Mmu::Mmu(CoreId core, sim::EventQueue& eq, coherence::CoherentSystem* caches,
               "vm mode needs a cache hierarchy for page walks");
 }
 
-void Mmu::translate(Addr vaddr, std::function<void(Cycle, Addr)> done) {
+void Mmu::translate(Addr vaddr, TranslateDone done) {
   if (!vm_.enabled) {
     const Cycle lat = tlb_.access(vaddr);
     if (obs_translation_ != nullptr) obs_translation_->add(lat);
@@ -29,7 +29,7 @@ void Mmu::translate(Addr vaddr, std::function<void(Cycle, Addr)> done) {
   const mem::PageTable::PageMapping m = pt_.touch_page(vaddr);
   walker_.walk(vaddr, m.span,
                [this, vaddr, m, probe = r.latency,
-                done = std::move(done)](Cycle walk_cycles) {
+                done = std::move(done)](Cycle walk_cycles) mutable {
                  tlbs_.fill(m.va_base, m.span);
                  const Cycle lat = probe + walk_cycles;
                  if (obs_translation_ != nullptr) obs_translation_->add(lat);

@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.hpp"
 #include "mem/page_table.hpp"
 #include "mem/tlb.hpp"
 #include "obs/latency_histogram.hpp"
+#include "sim/inline_function.hpp"
 #include "vm/config.hpp"
 #include "vm/page_walker.hpp"
 #include "vm/tlb_hierarchy.hpp"
@@ -28,6 +28,10 @@ namespace tdn::vm {
 
 class Mmu {
  public:
+  /// Translation continuation: (translation cycles, physical address).
+  /// Inline, so a demand access's translation never allocates.
+  using TranslateDone = sim::InlineFunction<void(Cycle, Addr), 48>;
+
   /// @p caches may be null only when @p vm is disabled (tests building
   /// legacy-mode Mmus without a cache hierarchy).
   Mmu(CoreId core, sim::EventQueue& eq, coherence::CoherentSystem* caches,
@@ -37,7 +41,7 @@ class Mmu {
   /// Translate @p vaddr for a demand access, allocating the page on first
   /// touch. @p done receives (translation cycles, physical address); it is
   /// invoked synchronously on a TLB hit (and always, in legacy mode).
-  void translate(Addr vaddr, std::function<void(Cycle, Addr)> done);
+  void translate(Addr vaddr, TranslateDone done);
 
   /// Synchronous translation charge for the runtime's ISA path (the
   /// iterative tdnuca_register walk executes under the runtime lock).

@@ -77,12 +77,12 @@ void PageWalker::fill_psc(Addr vaddr, Addr span) {
     psc_l2_.fill(level_prefix(vaddr, 2), kLevelSpan[2]);
 }
 
-void PageWalker::walk(Addr vaddr, Addr span, std::function<void(Cycle)> done) {
+void PageWalker::walk(Addr vaddr, Addr span, WalkDone done) {
   struct Job {
     std::array<Addr, 4> loads;
     unsigned n = 0;
     Cycle start = 0;
-    std::function<void(Cycle)> done;
+    WalkDone done;
   };
   auto job = std::make_shared<Job>();
   plan_loads(vaddr, span, job->loads.data(), job->n);

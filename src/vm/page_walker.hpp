@@ -27,9 +27,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/types.hpp"
+#include "sim/inline_function.hpp"
 #include "vm/config.hpp"
 #include "vm/tlb_hierarchy.hpp"
 
@@ -53,7 +53,9 @@ class PageWalker {
   /// covering @p vaddr. Issues the (PSC-shortened) chain of dependent PTE
   /// loads; @p done fires with the walk's total cycle cost when the last
   /// load returns.
-  void walk(Addr vaddr, Addr span, std::function<void(Cycle)> done);
+  /// Inline budget of @p done: the MMU's translation continuation.
+  using WalkDone = sim::InlineFunction<void(Cycle), 112>;
+  void walk(Addr vaddr, Addr span, WalkDone done);
 
   /// Synchronous ISA-path walk: returns psc_latency + loads *
   /// walk_charge_per_level, fires the PTE loads into the hierarchy in the

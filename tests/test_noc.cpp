@@ -2,6 +2,10 @@
 // timing and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "noc/mesh.hpp"
 #include "noc/network.hpp"
 #include "sim/event_queue.hpp"
@@ -106,6 +110,60 @@ TEST(Network, LinkSerializationQueues) {
   EXPECT_EQ(first, 2u);
   // Second message waits for the link: departs at 9, arrives 9+2.
   EXPECT_EQ(second, 11u);
+}
+
+TEST(Network, RouteTableMatchesXyRoute) {
+  // The precomputed route table against coordinate-stepped XY routing, on
+  // square and non-square meshes: the tiles and hop directions the mesh
+  // hands out, and the routers and links a sent message is charged to.
+  for (const auto& [w, h] : {std::pair{4u, 4u}, {3u, 5u}, {8u, 2u}}) {
+    const Mesh m(w, h);
+    for (CoreId a = 0; a < m.tiles(); ++a) {
+      for (CoreId b = 0; b < m.tiles(); ++b) {
+        std::vector<CoreId> want{a};
+        std::vector<unsigned> want_dirs;
+        Coord c = m.coord(a);
+        const Coord d = m.coord(b);
+        while (c.x != d.x) {
+          want_dirs.push_back(d.x > c.x ? 0 : 1);  // E / W
+          c.x = d.x > c.x ? c.x + 1 : c.x - 1;
+          want.push_back(m.tile(c));
+        }
+        while (c.y != d.y) {
+          want_dirs.push_back(d.y > c.y ? 3 : 2);  // S / N
+          c.y = d.y > c.y ? c.y + 1 : c.y - 1;
+          want.push_back(m.tile(c));
+        }
+        const auto route = m.xy_route(a, b);
+        const auto dirs = m.xy_route_dirs(a, b);
+        ASSERT_EQ(std::vector<CoreId>(route.begin(), route.end()), want)
+            << w << "x" << h << " " << a << "->" << b;
+        ASSERT_EQ(std::vector<unsigned>(dirs.begin(), dirs.end()), want_dirs)
+            << w << "x" << h << " " << a << "->" << b;
+
+        sim::EventQueue eq;
+        Network net(m, eq, {});
+        Cycle arrival = 0;
+        net.send(a, b, MsgClass::Control, [&] { arrival = eq.now(); });
+        eq.run();
+        const unsigned bytes = net.bytes_of(MsgClass::Control);
+        EXPECT_EQ(arrival, 2u * (want.size() - 1));
+        EXPECT_EQ(net.total_hops(), want.size() - 1);
+        for (CoreId t = 0; t < m.tiles(); ++t) {
+          const bool on_path =
+              std::find(want.begin(), want.end(), t) != want.end();
+          EXPECT_EQ(net.router_bytes_at(t), on_path ? bytes : 0u);
+        }
+        std::uint64_t link_total = 0;
+        for (std::size_t i = 0; i < want_dirs.size(); ++i)
+          EXPECT_EQ(net.link_bytes(want[i], want_dirs[i]), bytes);
+        for (CoreId t = 0; t < m.tiles(); ++t)
+          for (unsigned dir = 0; dir < Network::kLinkDirs; ++dir)
+            link_total += net.link_bytes(t, dir);
+        EXPECT_EQ(link_total, bytes * want_dirs.size());
+      }
+    }
+  }
 }
 
 TEST(Network, ControlSmallerThanData) {
