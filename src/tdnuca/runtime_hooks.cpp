@@ -142,7 +142,7 @@ void TdNucaRuntimeHooks::before_task_clean(runtime::Task& task,
   charge("decision", cfg_.decision_overhead * task.deps.size(),
          tr_on ? "\"deps\":" + std::to_string(task.deps.size())
                : std::string());
-  auto join = sim::make_joiner(std::move(done));
+  sim::Joiner* join = joiners_.make(std::move(done));
   std::vector<PlacedDep> placed;
   placed.reserve(task.deps.size());
 
@@ -346,7 +346,7 @@ void TdNucaRuntimeHooks::after_task(runtime::Task& task, core::SimCore& core,
        << ",\"pieces\":" << pd.pieces.size();
     return os.str();
   };
-  auto join = sim::make_joiner(std::move(done));
+  sim::Joiner* join = joiners_.make(std::move(done));
   for (PlacedDep& pd : it->second) {
     DirEntry& e = dir_.entry(pd.dep, rts_->dep(pd.dep).vrange);
     // The flushes below drain in the background: the core pays only the

@@ -145,6 +145,7 @@ class TdNucaRuntimeHooks final : public runtime::RuntimeHooks {
   RtCacheDirectory dir_;
   std::unordered_map<TaskId, std::vector<PlacedDep>> active_;
   std::unordered_map<DepId, DepSync> sync_;
+  sim::JoinerPool joiners_;
 
   stats::Counter n_bypass_;
   stats::Counter n_local_;
